@@ -72,19 +72,18 @@ def _audit_candidate(group: TorusGroup, kind: FKind, name: str,
                      table: np.ndarray,
                      patched: Tuple[Tuple[GroupElement, GroupElement], ...] = (),
                      ) -> FCandidate:
-    seen: Dict[int, int] = {}
+    first = np.full(ORDER, ORDER)  # first[v]: the first index mapped to v
+    np.minimum.at(first, table, np.arange(ORDER))
+    repeats = np.nonzero(first[table] != np.arange(ORDER))[0]
     collision = None
-    for i in range(ORDER):
-        v = int(table[i])
-        if v in seen and collision is None:
-            collision = (_element(seen[v]), _element(i))
-        seen.setdefault(v, i)
-    bijective = collision is None and len(seen) == ORDER
+    if len(repeats):
+        i = int(repeats[0])
+        collision = (_element(int(first[table[i]])), _element(i))
+    bijective = collision is None
     inverse = None
     if bijective:
         inverse = np.empty(ORDER, dtype=np.int64)
-        for i in range(ORDER):
-            inverse[int(table[i])] = i
+        inverse[table] = np.arange(ORDER)
     mult_witness = None
     m = group.mul_table
     lhs = table[m]                      # f(gh)
@@ -119,10 +118,8 @@ def make_f(group: TorusGroup, kind: FKind,
             arr[_index(*g)] = _index(*img)
         return _audit_candidate(group, kind, name or "substitution", arr)
     if kind is FKind.SHEAR:
-        arr = np.empty(ORDER, dtype=np.int64)
-        for g in ALL_ELEMENTS:
-            arr[_index(*g)] = _index(g.k, (g.k + g.l) % 8)
-        return _audit_candidate(group, kind, name or "shear", arr)
+        k, l = np.divmod(np.arange(ORDER), 8)
+        return _audit_candidate(group, kind, name or "shear", k * 8 + (k + l) % 8)
     if kind is FKind.TABLE:
         if table is None:
             raise ValueError("explicit-table candidate requires a table")
@@ -155,14 +152,16 @@ class Biquandle:
         self.f: Optional[FCandidate] = None
 
     def _conjugation_table(self, power: int) -> np.ndarray:
-        g = self.group
-        t = np.empty((ORDER, ORDER), dtype=np.int64)
-        for j, y in enumerate(ALL_ELEMENTS):
-            yn = g.power(y, power)
-            yni = g.inv(yn)
-            for i, x in enumerate(ALL_ELEMENTS):
-                t[i, j] = _index(*g.mul(g.mul(yn, x), yni))
-        return t
+        """t[x, y] = y^p x y^-p, with y^p by square-and-multiply on all y."""
+        m = self.group.mul_table
+        ar = np.arange(ORDER)
+        yp, base = np.full(ORDER, _index(0, 0)), ar
+        while power:
+            if power & 1:
+                yp = m[yp, base]
+            base = m[base, base]
+            power >>= 1
+        return m[m[yp[None, :], ar[:, None]], self.group.inv_table[yp][None, :]]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
         self.f = candidate
@@ -208,12 +207,11 @@ class Biquandle:
 
 def _solve_division(table: np.ndarray) -> np.ndarray:
     """Right division: div[x, y] is the unique z with table[z, y] = x."""
+    ar = np.arange(ORDER)
+    if not np.array_equal(np.sort(table, axis=0), np.tile(ar[:, None], (1, ORDER))):
+        raise ValueError("operation is not right-invertible")
     div = np.empty((ORDER, ORDER), dtype=np.int64)
-    for y in range(ORDER):
-        col = table[:, y]
-        if len(set(int(v) for v in col)) != ORDER:
-            raise ValueError("operation is not right-invertible")
-        div[col, y] = np.arange(ORDER)
+    div[table, ar[None, :]] = ar[:, None]
     return div
 
 

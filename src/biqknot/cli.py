@@ -12,7 +12,9 @@ Subcommands::
     biqknot distinguish <d1> <d2> --start W
 
 Diagrams are file paths or builtin:right-trefoil / builtin:left-trefoil.
-Exit status: 0 success, 1 audit failure, 2 usage or parse error.
+Only ``group calibrate`` runs the full convention sweep.
+Exit status: 0 success, 1 audit failure, 2 usage or parse error,
+3 internal error (an unexpected exception, reported without traceback).
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from typing import Optional
 
 from . import biquandle as bq_mod
 from . import coloring as col_mod
-from .diagram import (DiagramSyntaxError, LongDiagram, PairingError,
-                      builtin_trefoil, parse_diagram)
-from .group_words import WordSyntaxError, eval_text, format_normal
-from .torus_group import (ALL_ELEMENTS, Convention, NoConventionMatches,
-                          TorusGroup, build_group, calibrate_convention)
+from .diagram import LongDiagram, builtin_trefoil, parse_diagram
+from .group_words import eval_text, format_normal
+from .torus_group import (ALL_ELEMENTS, NoConventionMatches, TorusGroup,
+                          build_default_group, calibrate_convention)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,24 +125,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (WordSyntaxError, DiagramSyntaxError, PairingError) as exc:
+    except (ValueError, OSError, bq_mod.MissingF, NoConventionMatches) as exc:
+        # ValueError covers WordSyntaxError, DiagramSyntaxError, PairingError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, bq_mod.MissingF, NoConventionMatches) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # exit 1 means "audit failed", so never that
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:
-    calibration = calibrate_convention()
-    group = build_group(calibration.convention)
+    group = build_default_group()
     as_json = args.format == "json"
 
     if args.command == "group":
-        return _cmd_group(args, group, calibration, as_json)
+        return _cmd_group(args, group, as_json)
     if args.command == "audit":
         return _cmd_audit(args, group, as_json)
     if args.command == "color":
@@ -151,7 +149,7 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _cmd_group(args, group, calibration, as_json) -> int:
+def _cmd_group(args, group, as_json) -> int:
     cmd = args.group_command
     if cmd == "eval":
         value = eval_text(args.word, group)
@@ -217,6 +215,7 @@ def _cmd_group(args, group, calibration, as_json) -> int:
             print(f"mismatches vs stated pattern: {len(rep.mismatches)}")
         return 0
     if cmd == "calibrate":
+        calibration = calibrate_convention()
         if as_json:
             print(json.dumps({
                 "frozen": calibration.convention.describe(),

@@ -15,7 +15,7 @@ virtual pass, so arc count = unders + virtual passes + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -199,13 +199,17 @@ class ArcStep(NamedTuple):
 class ArcAssignment:
     steps: Tuple[ArcStep, ...]
     arc_count: int
+    _over_arcs: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # crossing id -> arc of its (first, hence reversed) over pass
+        over_arcs = {s.pass_.crossing_id: s.incoming_arc
+                     for s in reversed(self.steps)
+                     if s.pass_.kind is PassKind.OVER}
+        object.__setattr__(self, "_over_arcs", over_arcs)
 
     def over_arc(self, crossing_id: str) -> int:
-        for s in self.steps:
-            if (s.pass_.kind is PassKind.OVER
-                    and s.pass_.crossing_id == crossing_id):
-                return s.incoming_arc
-        raise KeyError(crossing_id)
+        return self._over_arcs[crossing_id]
 
 
 def arcs(d: LongDiagram) -> ArcAssignment:

@@ -8,7 +8,8 @@ Grammar (whitespace between tokens is ignored)::
     int    := '-'? digit+
 
 Juxtaposition is group multiplication, '^' binds tightest, 'e' is the
-identity.  "a^-1" and "(ab)^-3" are both legal.
+identity.  "a^-1" and "(ab)^-3" are both legal.  Parentheses nest at
+most MAX_NESTING deep, well inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .torus_group import GroupElement, TorusGroup
+
+MAX_NESTING = 200
 
 
 class WordSyntaxError(ValueError):
@@ -56,7 +59,7 @@ WordExpr = Union[Letter, Inverse, Power, Concat]
 
 
 def parse_word(text: str) -> WordExpr:
-    expr, pos = _parse_concat(text, 0)
+    expr, pos = _parse_concat(text, 0, 0)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
@@ -69,11 +72,11 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_concat(text: str, pos: int) -> Tuple[WordExpr, int]:
+def _parse_concat(text: str, pos: int, depth: int) -> Tuple[WordExpr, int]:
     parts = []
     pos = _skip_ws(text, pos)
     while pos < len(text) and text[pos] not in ")":
-        factor, pos = _parse_factor(text, pos)
+        factor, pos = _parse_factor(text, pos, depth)
         parts.append(factor)
         pos = _skip_ws(text, pos)
     if not parts:
@@ -83,8 +86,8 @@ def _parse_concat(text: str, pos: int) -> Tuple[WordExpr, int]:
     return Concat(tuple(parts)), pos
 
 
-def _parse_factor(text: str, pos: int) -> Tuple[WordExpr, int]:
-    base, pos = _parse_base(text, pos)
+def _parse_factor(text: str, pos: int, depth: int) -> Tuple[WordExpr, int]:
+    base, pos = _parse_base(text, pos, depth)
     pos_ws = _skip_ws(text, pos)
     if pos_ws < len(text) and text[pos_ws] == "^":
         exponent, pos = _parse_int(text, _skip_ws(text, pos_ws + 1))
@@ -92,7 +95,7 @@ def _parse_factor(text: str, pos: int) -> Tuple[WordExpr, int]:
     return base, pos
 
 
-def _parse_base(text: str, pos: int) -> Tuple[WordExpr, int]:
+def _parse_base(text: str, pos: int, depth: int) -> Tuple[WordExpr, int]:
     pos = _skip_ws(text, pos)
     if pos >= len(text):
         raise WordSyntaxError("expected a letter or '('", pos)
@@ -100,7 +103,10 @@ def _parse_base(text: str, pos: int) -> Tuple[WordExpr, int]:
     if ch in "abe":
         return Letter(ch), pos + 1
     if ch == "(":
-        inner, pos2 = _parse_concat(text, pos + 1)
+        if depth == MAX_NESTING:
+            raise WordSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING}", pos)
+        inner, pos2 = _parse_concat(text, pos + 1, depth + 1)
         pos2 = _skip_ws(text, pos2)
         if pos2 >= len(text) or text[pos2] != ")":
             raise WordSyntaxError("unbalanced parenthesis", pos2)

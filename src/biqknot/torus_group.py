@@ -127,12 +127,7 @@ class TorusGroup:
         self.generator_b = GEN_B
         self._vertex_of = vertex_of
         self._element_at = {v: g for g, v in vertex_of.items()}
-        inv = np.empty(ORDER, dtype=np.int64)
-        e = _index(0, 0)
-        for i in range(ORDER):
-            hits = np.nonzero(mul_table[i] == e)[0]
-            inv[i] = hits[0]
-        self.inv_table = inv
+        self.inv_table = np.argmax(mul_table == _index(0, 0), axis=1)
         self._center: Optional[CenterSet] = None
 
     # -- element arithmetic ------------------------------------------------
@@ -201,31 +196,23 @@ class TorusGroup:
 
 
 def _step_permutations(convention: Convention) -> Tuple[np.ndarray, np.ndarray]:
-    """Vertex permutations for one a-step and one b-step."""
-    verts = [Vertex(x, y) for x in range(GRID) for y in range(GRID)]
-    vid = {v: i for i, v in enumerate(verts)}
-    pa = np.empty(ORDER, dtype=np.int64)
-    pb = np.empty(ORDER, dtype=np.int64)
+    """Vertex permutations of one a-step and one b-step; (x, y) is x * GRID + y."""
+    x, y = np.divmod(np.arange(ORDER), GRID)
     row_sign = 1 if convention.row_phase is RowPhase.EVEN_RIGHT else -1
     col_sign = 1 if convention.col_phase is ColPhase.EVEN_UP else -1
-    for v, i in vid.items():
-        sr = row_sign if v.y % 2 == 0 else -row_sign
-        sc = col_sign if v.x % 2 == 0 else -col_sign
-        pa[i] = vid[Vertex((v.x + sr) % GRID, v.y)]
-        pb[i] = vid[Vertex(v.x, (v.y + sc) % GRID)]
+    sr = np.where(y % 2 == 0, row_sign, -row_sign)
+    sc = np.where(x % 2 == 0, col_sign, -col_sign)
+    pa = (x + sr) % GRID * GRID + y
+    pb = x * GRID + (y + sc) % GRID
     return pa, pb
 
 
-def _compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Apply q first, then p."""
-    return p[q]
-
-
-def _perm_power(p: np.ndarray, n: int) -> np.ndarray:
-    acc = np.arange(ORDER)
-    for _ in range(n):
-        acc = _compose(p, acc)
-    return acc
+def _perm_powers(p: np.ndarray) -> np.ndarray:
+    """Row n is the permutation p applied n times, for n in 0..GRID-1."""
+    powers = [np.arange(ORDER)]
+    for _ in range(GRID - 1):
+        powers.append(p[powers[-1]])
+    return np.stack(powers)
 
 
 def build_group(convention: Convention) -> TorusGroup:
@@ -237,65 +224,55 @@ def build_group(convention: Convention) -> TorusGroup:
     pa, pb = _step_permutations(convention)
     word_first = convention.composition_order is CompositionOrder.WORD
 
-    # permutation realised by the canonical word a^k b^l
-    perms: List[np.ndarray] = []
-    for g in ALL_ELEMENTS:
-        pak = _perm_power(pa, g.k)
-        pbl = _perm_power(pb, g.l)
-        perms.append(_compose(pbl, pak) if word_first else _compose(pak, pbl))
+    # perms[g] is the vertex permutation realised by the canonical word
+    # a^k b^l of element g = (k, l)
+    pa_pow, pb_pow = _perm_powers(pa), _perm_powers(pb)
+    k, l = np.divmod(np.arange(ORDER), GRID)
+    if word_first:
+        perms = pb_pow[l[:, None], pa_pow[k]]
+    else:
+        perms = pa_pow[k[:, None], pb_pow[l]]
 
-    base = 0  # Vertex(0, 0)
-    verts = [Vertex(x, y) for x in range(GRID) for y in range(GRID)]
-    endpoints = [int(p[base]) for p in perms]
-    if len(set(endpoints)) != ORDER:
+    endpoints = perms[:, 0]  # base vertex (0, 0) has index 0
+    if len(set(endpoints.tolist())) != ORDER:
         seen: Dict[int, GroupElement] = {}
-        for g, v in zip(ALL_ELEMENTS, endpoints):
+        for g, v in zip(ALL_ELEMENTS, endpoints.tolist()):
             if v in seen:
                 raise ConventionInconsistent(
                     f"normal forms {seen[v]} and {g} reach the same vertex "
-                    f"{verts[v]} from base"
+                    f"{Vertex(*divmod(v, GRID))} from base"
                 )
             seen[v] = g
-    vertex_of = {g: verts[v] for g, v in zip(ALL_ELEMENTS, endpoints)}
-    element_at_idx = {v: i for i, v in enumerate(endpoints)}
+    vertex_of = {g: Vertex(*divmod(v, GRID))
+                 for g, v in zip(ALL_ELEMENTS, endpoints.tolist())}
+    element_at_idx = np.empty(ORDER, dtype=np.int64)
+    element_at_idx[endpoints] = np.arange(ORDER)
 
-    # flat product: translate the second path to start at the first endpoint
-    flat = np.empty((ORDER, ORDER), dtype=np.int64)
-    for i in range(ORDER):
-        for j in range(ORDER):
-            if word_first:
-                v = int(perms[j][endpoints[i]])
-            else:
-                v = int(perms[i][endpoints[j]])
-            flat[i, j] = element_at_idx[v]
+    # flat product: translate the second path to start at the first
+    # endpoint; moved[j, i] is the vertex perms[j] sends endpoint i to
+    moved = perms[:, endpoints]
+    flat = element_at_idx[moved.T if word_first else moved]
 
     if convention.seam_twist is SeamTwist.FLAT:
         # endpoint identification must agree with permutation identity:
         # the permutation of a product word must equal the composed
-        # permutations of its factors.
+        # permutations of its factors.  One row of products at a time.
         for i in range(ORDER):
-            pi = perms[i]
-            for j in range(ORDER):
-                pj = perms[j]
-                pij = _compose(pj, pi) if word_first else _compose(pi, pj)
-                if not np.array_equal(pij, perms[flat[i, j]]):
-                    raise ConventionInconsistent(
-                        f"word action of {ALL_ELEMENTS[i]} then "
-                        f"{ALL_ELEMENTS[j]} differs from the action of "
-                        f"their product {_element(int(flat[i, j]))}"
-                    )
+            composed = perms[:, perms[i]] if word_first else perms[i][perms]
+            bad = np.nonzero(np.any(composed != perms[flat[i]], axis=1))[0]
+            if len(bad):
+                j = int(bad[0])
+                raise ConventionInconsistent(
+                    f"word action of {ALL_ELEMENTS[i]} then "
+                    f"{ALL_ELEMENTS[j]} differs from the action of "
+                    f"their product {_element(int(flat[i, j]))}"
+                )
         table = flat
     else:
         # central b^4 holonomy on odd-displacement compositions
-        table = flat.copy()
-        for i, g in enumerate(ALL_ELEMENTS):
-            if g.l % 2 == 0:
-                continue
-            for j, h in enumerate(ALL_ELEMENTS):
-                if h.k % 2 == 0:
-                    continue
-                r = _element(int(table[i, j]))
-                table[i, j] = _index(r.k, r.l + 4)
+        odd = (l[:, None] % 2 == 1) & (k[None, :] % 2 == 1)
+        shifted = flat // GRID * GRID + (flat % GRID + 4) % GRID
+        table = np.where(odd, shifted, flat)
 
     _verify_group(table, convention)
     return TorusGroup(convention, table, vertex_of)
@@ -428,7 +405,14 @@ DEFAULT_CONVENTION = Convention()
 
 
 def build_default_group() -> TorusGroup:
-    return build_group(DEFAULT_CONVENTION)
+    """The frozen convention's group, checked against the anchors."""
+    group = build_group(DEFAULT_CONVENTION)
+    if not _anchors(group).matches:
+        raise NoConventionMatches(
+            f"frozen convention {DEFAULT_CONVENTION.describe()} does not "
+            "reproduce the calibration anchors"
+        )
+    return group
 
 
 # -- parity sweep --------------------------------------------------------------

@@ -1,15 +1,17 @@
+import numpy as np
 import pytest
 
 from biqknot.biquandle import (
     Biquandle,
     FKind,
+    _solve_division,
     MissingF,
     audit,
     from_group,
     make_f,
 )
 from biqknot.group_words import eval_text
-from biqknot.torus_group import ALL_ELEMENTS, GroupElement
+from biqknot.torus_group import ALL_ELEMENTS, GroupElement, _index
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +225,29 @@ def test_report_serialization(group):
 def test_make_f_table_requires_full_domain(group):
     with pytest.raises(ValueError):
         make_f(group, FKind.TABLE, table={GroupElement(0, 0): GroupElement(0, 0)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tables_match_elementwise_conjugation(group, n):
+    # loop oracle: x o y = y x y^-1, x * y = y^(n+1) x y^-(n+1)
+    bq = Biquandle(group, n)
+    for p, table, div in ((1, bq.circ_table, bq.circ_div_table),
+                          (n + 1, bq.star_table, bq.star_div_table)):
+        expected = np.empty((64, 64), dtype=np.int64)
+        expected_div = np.empty((64, 64), dtype=np.int64)
+        for y in ALL_ELEMENTS:
+            yp = group.power(y, p)
+            ypi = group.inv(yp)
+            for x in ALL_ELEMENTS:
+                z = group.mul(group.mul(yp, x), ypi)
+                expected[_index(*x), _index(*y)] = _index(*z)
+                expected_div[_index(*z), _index(*y)] = _index(*x)
+        assert np.array_equal(table, expected)
+        assert np.array_equal(div, expected_div)
+
+
+def test_division_rejects_non_invertible_table():
+    table = np.tile(np.arange(64)[:, None], (1, 64))
+    table[5, 9] = 6  # column 9 now hits 6 twice and misses 5
+    with pytest.raises(ValueError, match="not right-invertible"):
+        _solve_division(table)

@@ -1,8 +1,10 @@
 import json
 
+from biqknot import torus_group
 from biqknot.cli import main
 from biqknot.group_words import format_normal
-from biqknot.torus_group import ALL_ELEMENTS
+from biqknot.torus_group import (ALL_ELEMENTS, Convention, SeamTwist,
+                                 build_group, calibrate_convention)
 
 
 def run(capsys, *argv):
@@ -192,3 +194,48 @@ def test_bad_diagram_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "color", str(path), "--start", "a")
     assert code == 2
     assert "sign" in err
+
+
+def test_commands_use_the_calibrated_group(capsys):
+    code, out, _ = run(capsys, "--format", "json", "group", "table")
+    assert code == 0
+    rows = json.loads(out)["table"]
+    calibrated = build_group(calibrate_convention().convention)
+    for g in ALL_ELEMENTS:
+        for h in ALL_ELEMENTS:
+            assert rows[format_normal(g)][format_normal(h)] == \
+                format_normal(calibrated.mul(g, h))
+
+
+def test_frozen_convention_must_match_anchors(capsys, monkeypatch):
+    monkeypatch.setattr(torus_group, "DEFAULT_CONVENTION",
+                        Convention(seam_twist=SeamTwist.FLAT))
+    code, out, err = run(capsys, "group", "eval", "a")
+    assert code == 2
+    assert out == ""
+    assert "calibration anchors" in err
+
+
+def test_deeply_nested_word_exit_code(capsys):
+    code, _, err = run(capsys, "group", "eval", "(" * 1200 + "a" + ")" * 1200)
+    assert code == 2
+    assert "nested deeper" in err
+
+
+def test_internal_error_exit_code(capsys, tmp_path):
+    # the recursive solver cannot walk 600 relations (its recursion is
+    # about two frames per relation); that failure is internal, not an
+    # audit failure
+    body = " ".join(f"O{i}+ U{i}+" for i in range(1, 601))
+    path = tmp_path / "chain.txt"
+    path.write_text(f"longknot chain600\n{body}\n")
+    code, out, err = run(capsys, "color", str(path), "--start", "a")
+    assert code == 3
+    assert err.startswith("internal error: RecursionError: ")
+    assert "Traceback" not in err
+
+
+def test_directory_as_diagram_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "color", str(tmp_path), "--start", "a")
+    assert code == 2
+    assert err.startswith("error: ")

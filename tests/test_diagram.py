@@ -85,6 +85,8 @@ def test_arcs_assignment():
         (PassKind.VIRTUAL, 3, 4),
     ]
     assert asg.over_arc("2") == 2
+    with pytest.raises(KeyError):
+        asg.over_arc("1")
 
 
 def test_double_virtual_gives_three_arcs():

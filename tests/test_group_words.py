@@ -3,6 +3,7 @@ import random
 import pytest
 
 from biqknot.group_words import (
+    MAX_NESTING,
     Concat,
     Inverse,
     Letter,
@@ -110,3 +111,11 @@ def test_parser_totality_fuzz(group):
             assert 0 <= exc.offset <= len(text)
         else:
             eval_word(expr, group)  # must evaluate without error
+
+
+def test_nesting_limit(group):
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert eval_text(deepest, group) == group.generator_a
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("(" * 1200 + "a" + ")" * 1200)
+    assert exc.value.offset == MAX_NESTING  # the first parenthesis too deep

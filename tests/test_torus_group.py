@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from biqknot.torus_group import (
     ALL_ELEMENTS,
@@ -12,6 +13,7 @@ from biqknot.torus_group import (
     RowPhase,
     SeamTwist,
     Vertex,
+    _index,
     all_conventions,
     build_group,
     calibrate_convention,
@@ -22,12 +24,13 @@ A = GroupElement(1, 0)
 B = GroupElement(0, 1)
 
 
-def twisted_law(g, h):
-    # independent closed-form oracle for the calibrated multiplication
+def twisted_law(g, h, twist=True):
+    # independent closed-form oracle for the calibrated multiplication;
+    # twist=False is the flat law
     k, l = g
     m, n = h
     kk = (k + m * (-1) ** l) % 8
-    ll = (l * (-1) ** m + n + (4 if (l % 2 and m % 2) else 0)) % 8
+    ll = (l * (-1) ** m + n + (4 if (twist and l % 2 and m % 2) else 0)) % 8
     return GroupElement(kk, ll)
 
 
@@ -197,3 +200,14 @@ def test_power_is_iterated_multiplication(group):
         for _ in range(abs(n)):
             acc = group.mul(acc, step)
         assert group.power(g, n) == acc
+
+
+@pytest.mark.parametrize("conv", all_conventions(), ids=Convention.describe)
+def test_every_convention_matches_closed_form_law(conv):
+    g = build_group(conv)
+    twist = conv.seam_twist is SeamTwist.CENTRAL_B4
+    expected = np.array([[_index(*twisted_law(x, y, twist)) for y in ALL_ELEMENTS]
+                         for x in ALL_ELEMENTS])
+    assert np.array_equal(g.mul_table, expected)
+    ar = np.arange(ORDER)
+    assert np.array_equal(g.mul_table[ar, g.inv_table], np.zeros(ORDER))
