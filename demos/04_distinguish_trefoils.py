@@ -28,14 +28,14 @@ print(serialize(right).strip())
 print(serialize(left).strip())
 print(f"\nf candidate in use: {bq.f.summary()}")
 
-r = solve(right, bq, a, engine="both")
+r = solve(right, bq, a)
 print(f"\nright trefoil, start a: {r.count} colorings")
 for col in r.colorings:
     print("  (" + ", ".join(format_normal(g) for g in col) + ")")
 print("end colors:", sorted(format_normal(g) for g in r.end_colors))
 
 end = eval_text("a b^2", group)
-pinned = solve(left, bq, a, end=end, engine="both")
+pinned = solve(left, bq, a, end=end)
 print(f"\nleft trefoil, start a, end pinned to a b^2: "
       f"{pinned.count} colorings")
 

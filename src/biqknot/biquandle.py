@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,18 @@ from .torus_group import ALL_ELEMENTS, ORDER, GroupElement, TorusGroup, _element
 
 class MissingF(Exception):
     """Operation requires an f candidate but none is attached."""
+
+
+# A compressed row index: row k lists values[indptr[k]:indptr[k + 1]].
+Index = Tuple[np.ndarray, np.ndarray]
+
+
+def _csr(keys: np.ndarray, values: np.ndarray, nkeys: int) -> Index:
+    """Group ``values`` by ``keys``; each row keeps the values' order."""
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(nkeys + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=nkeys), out=indptr[1:])
+    return indptr, values[order].astype(np.intp)
 
 
 class FKind(Enum):
@@ -50,6 +62,8 @@ class FCandidate:
     mult_witness: Optional[Tuple[GroupElement, GroupElement]]
     collision_witness: Optional[Tuple[GroupElement, GroupElement]]
     patched_entries: Tuple[Tuple[GroupElement, GroupElement], ...] = ()
+    _preimage_index: Optional[Index] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return _element(int(self.table[_index(*x)]))
@@ -57,6 +71,12 @@ class FCandidate:
     def preimages(self, y: GroupElement) -> Tuple[GroupElement, ...]:
         hits = np.nonzero(self.table == _index(*y))[0]
         return tuple(_element(int(i)) for i in hits)
+
+    def preimage_index(self) -> Index:
+        """Row y lists every x with f(x) = y, ascending (built once)."""
+        if self._preimage_index is None:
+            self._preimage_index = _csr(self.table, np.arange(ORDER), ORDER)
+        return self._preimage_index
 
     def summary(self) -> str:
         bits = [self.name,
@@ -136,6 +156,16 @@ def make_f(group: TorusGroup, kind: FKind,
 OpName = str  # 'circ', 'star', 'circ_div', 'star_div'
 
 
+class SolveIndexes(NamedTuple):
+    """For one operation table t: row x * 64 + z of ``over`` lists every y
+    with t[x, y] = z; row x of ``fixed`` every y with t[x, y] = y; row z of
+    ``diagonal`` every y with t[y, y] = z.  Rows are ascending."""
+
+    over: Index
+    fixed: Index
+    diagonal: Index
+
+
 class Biquandle:
     """Carrier-indexed operation tables over a built group."""
 
@@ -150,6 +180,7 @@ class Biquandle:
         self.circ_div_table = _solve_division(self.circ_table)
         self.star_div_table = _solve_division(self.star_table)
         self.f: Optional[FCandidate] = None
+        self._solve_indexes: Dict[OpName, SolveIndexes] = {}
 
     def _conjugation_table(self, power: int) -> np.ndarray:
         """t[x, y] = y^p x y^-p, with y^p by square-and-multiply on all y."""
@@ -162,6 +193,19 @@ class Biquandle:
             base = m[base, base]
             power >>= 1
         return m[m[yp[None, :], ar[:, None]], self.group.inv_table[yp][None, :]]
+
+    def solve_indexes(self, which: OpName) -> SolveIndexes:
+        """Indexes that solve t[x, y] = z for an unknown argument (built once)."""
+        if which not in self._solve_indexes:
+            t = self._table(which)
+            ar = np.arange(ORDER)
+            fx, fy = np.nonzero(t == ar[None, :])
+            self._solve_indexes[which] = SolveIndexes(
+                over=_csr((ar[:, None] * ORDER + t).ravel(),
+                          np.tile(ar, ORDER), ORDER * ORDER),
+                fixed=_csr(fx, fy, ORDER),
+                diagonal=_csr(t[ar, ar], ar, ORDER))
+        return self._solve_indexes[which]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
         self.f = candidate

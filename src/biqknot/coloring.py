@@ -7,10 +7,14 @@ the first visit to a virtual crossing pulls back through f, the second
 pushes forward.  Those direction choices, like the builtin diagrams,
 were calibrated once against the reference trefoil chain and frozen.
 
-Two solver engines are provided and must agree: ``propagation`` walks
-the traversal, branching only over genuinely free colors (unknown
-over-arcs and f preimages); ``exhaustive`` sweeps every assignment of
-the non-pinned arcs in vectorized chunks.
+One iterative solver finds every coloring.  It plans the relations once,
+from which arcs are known: checks, ``circ``/``star`` forward, the right
+division backward and f forward come first; when none applies, one
+relation branches through a precomputed index (f preimages, or every
+over-arc color y with t[x, y] = z), and guessing all 64 colors of an
+over arc is the last resort.  The plan then runs on per-arc integer
+columns over all partial colorings at once, in pieces of at most
+ROW_CAP rows.  A brute-force sweep in the tests is its reference.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ class InvariantResult:
     colorings: Tuple[Coloring, ...]
     end_colors: FrozenSet[GroupElement]
     count: int
-    engine: str
     f_summary: Optional[str]
 
     def to_text(self) -> str:
@@ -136,155 +139,233 @@ class InvariantResult:
             "end_colors": sorted(format_normal(g) for g in self.end_colors),
             "colorings": [[format_normal(g) for g in col]
                           for col in self.colorings],
-            "engine": self.engine,
             "f": self.f_summary,
         }
 
 
-def _f_table_or_raise(bq: Biquandle, cs: ConstraintSet) -> Optional[np.ndarray]:
-    needs_f = any(isinstance(r, VirtualRelation) for r in cs.relations)
-    if not needs_f:
-        return None
-    if bq.f is None:
-        raise MissingF("constraints contain virtual relations but no f is attached")
-    return bq.f.table
+# -- frontier solver -------------------------------------------------------------
+
+# No expansion makes more than ROW_CAP rows: its input is split first, and
+# the pieces wait on an explicit stack.  (A single row's fan-out, at most
+# 64, is the unit when ROW_CAP is smaller.)
+ROW_CAP = 1 << 14
+
+# Plan steps, over per-arc columns of all rows:
+#   (_SET2, target, t, x, y)       target = t[x, y]
+#   (_SET1, target, t, x)          target = t[x]
+#   (_CHECK2, t, x, y, z)          keep rows with t[x, y] == z
+#   (_CHECK1, t, x, z)             keep rows with t[x] == z
+#   (_EXPAND, target, index, x, y) target in row x * 64 + y (or x) of a CSR
+#                                  index; x None: every color
+_SET2, _SET1, _CHECK2, _CHECK1, _EXPAND = range(5)
+_ALL_COLORS = (np.array([0, ORDER], dtype=np.intp),
+               np.arange(ORDER, dtype=np.intp))
 
 
-# -- propagation engine ----------------------------------------------------------
-
-
-def _solve_propagation(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
-                       end: Optional[GroupElement]) -> List[Tuple[int, ...]]:
-    ft = _f_table_or_raise(bq, cs)
-    fpre: Dict[int, Tuple[int, ...]] = {}
-    if ft is not None:
-        pre_lists: Dict[int, List[int]] = {}
-        for i in range(ORDER):
-            pre_lists.setdefault(int(ft[i]), []).append(i)
-        fpre = {k: tuple(v) for k, v in pre_lists.items()}
-    tables = {"circ": bq.circ_table, "star": bq.star_table}
-
-    sols: List[Tuple[int, ...]] = []
-    rels = cs.relations
-    m = cs.arc_count
-    end_idx = None if end is None else _index(*end)
-
-    def satisfied(col: Dict[int, int]) -> bool:
-        for r in rels:
-            if isinstance(r, ClassicalRelation):
-                if int(tables[r.op][col[r.in_arc], col[r.over_arc]]) != col[r.out_arc]:
-                    return False
-            else:
-                if r.direction == "fwd":
-                    if int(ft[col[r.in_arc]]) != col[r.out_arc]:
-                        return False
-                else:
-                    if int(ft[col[r.out_arc]]) != col[r.in_arc]:
-                        return False
-        return True
-
-    def walk(col: Dict[int, int], i: int) -> None:
-        if i == len(rels):
-            if len(col) == m and (end_idx is None or col[m] == end_idx):
-                if satisfied(col):
-                    sols.append(tuple(col[j] for j in range(1, m + 1)))
-            return
-        r = rels[i]
+def _equations(cs: ConstraintSet, bq: Biquandle) -> List[tuple]:
+    """Each relation as t[x, y] = z: (x, y, z, op) for a classical
+    crossing, (x, None, z, None) for f(x) = z at a virtual pass."""
+    eqs = []
+    for r in cs.relations:
         if isinstance(r, ClassicalRelation):
-            if r.over_arc not in col:
-                for guess in range(ORDER):
-                    col[r.over_arc] = guess
-                    walk(col, i)
-                    del col[r.over_arc]
-                return
-            new = int(tables[r.op][col[r.in_arc], col[r.over_arc]])
-            _assign(col, r.out_arc, new, i)
+            eqs.append((r.in_arc, r.over_arc, r.out_arc, r.op))
+        elif bq.f is None:
+            raise MissingF("constraints contain virtual relations but no f is attached")
+        elif r.direction == "fwd":
+            eqs.append((r.in_arc, None, r.out_arc, None))
         else:
-            if r.direction == "fwd":
-                _assign(col, r.out_arc, int(ft[col[r.in_arc]]), i)
-            else:
-                for new in fpre.get(col[r.in_arc], ()):
-                    _assign(col, r.out_arc, new, i)
-
-    def _assign(col: Dict[int, int], arc: int, value: int, i: int) -> None:
-        if arc in col:
-            if col[arc] != value:
-                return
-            walk(col, i + 1)
-        else:
-            col[arc] = value
-            walk(col, i + 1)
-            del col[arc]
-
-    walk({1: _index(*start)}, 0)
-    return sorted(set(sols))
+            eqs.append((r.out_arc, None, r.in_arc, None))
+    return eqs
 
 
-# -- exhaustive engine -----------------------------------------------------------
+def _plan(cs: ConstraintSet, bq: Biquandle, end_pinned: bool) -> List[tuple]:
+    """Order the relations into steps, from which arcs are known.
 
-_EXHAUSTIVE_MAX_FREE = 4
-_CHUNK = 1 << 20
-
-
-def _solve_exhaustive(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
-                      end: Optional[GroupElement]) -> List[Tuple[int, ...]]:
-    ft = _f_table_or_raise(bq, cs)
-    tables = {"circ": bq.circ_table, "star": bq.star_table}
+    Passes over the pending relations, alternately forward and backward,
+    take every deterministic step: a check, ``circ``/``star`` forward, the
+    right division backward, f forward.  Only when a pass finds none does
+    one relation branch, through a CSR index if one applies, else by
+    guessing all 64 colors of an over arc.
+    """
     m = cs.arc_count
-    pinned: Dict[int, int] = {1: _index(*start)}
-    if end is not None:
-        if m == 1:
-            if _index(*end) != pinned[1]:
-                return []
-        else:
-            pinned[m] = _index(*end)
-    free = [a for a in range(1, m + 1) if a not in pinned]
-    if len(free) > _EXHAUSTIVE_MAX_FREE:
-        raise ValueError(
-            f"exhaustive engine supports at most {_EXHAUSTIVE_MAX_FREE} free "
-            f"arcs, diagram needs {len(free)}; use the propagation engine")
+    ft = bq.f.table if bq.f is not None else None
+    tables = {"circ": (bq.circ_table, bq.circ_div_table),
+              "star": (bq.star_table, bq.star_div_table)}
+    known = bytearray(m + 1)
+    known[1] = 1
+    if end_pinned:
+        known[m] = 1
+    steps: List[tuple] = []
+    pending = _equations(cs, bq)
+    forward = True
+    while pending:
+        rest = []
+        for eq in (pending if forward else reversed(pending)):
+            x, y, z, op = eq
+            if op is None:
+                if known[x]:
+                    steps.append((_CHECK1, ft, x, z) if known[z]
+                                 else (_SET1, z, ft, x))
+                    known[z] = 1
+                    continue
+            elif known[y]:
+                t, div = tables[op]
+                if known[x]:
+                    steps.append((_CHECK2, t, x, y, z) if known[z]
+                                 else (_SET2, z, t, x, y))
+                    known[z] = 1
+                    continue
+                if known[z]:
+                    steps.append((_SET2, x, div, z, y))
+                    known[x] = 1
+                    continue
+            rest.append(eq)
+        if not forward:
+            rest.reverse()
+        forward = not forward
+        if len(rest) < len(pending):
+            pending = rest
+            continue
+        step, solved = _branch(pending, known, bq)
+        steps.append(step)
+        known[step[1]] = 1
+        if solved is not None:
+            pending.remove(solved)
+    return steps
 
-    total = ORDER ** len(free)
-    sols: List[Tuple[int, ...]] = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        block = np.arange(lo, hi, dtype=np.int64)
-        cols: Dict[int, np.ndarray] = {
-            a: np.full(hi - lo, v, dtype=np.int64) for a, v in pinned.items()
-        }
-        for pos, a in enumerate(free):
-            cols[a] = (block // (ORDER ** pos)) % ORDER
-        mask = np.ones(hi - lo, dtype=bool)
-        for r in cs.relations:
-            if isinstance(r, ClassicalRelation):
-                mask &= (tables[r.op][cols[r.in_arc], cols[r.over_arc]]
-                         == cols[r.out_arc])
-            elif r.direction == "fwd":
-                mask &= ft[cols[r.in_arc]] == cols[r.out_arc]
+
+def _branch(pending: List[tuple], known: bytearray, bq: Biquandle,
+            ) -> Tuple[tuple, Optional[tuple]]:
+    """The expansion that unblocks a stalled plan, and the relation it
+    solves: the first relation an index solves for its one unknown arc,
+    else (solving none) a guess of the first relation's over arc.
+
+    ``pending`` is in traversal order, so the in arc of its first
+    relation is known: that relation has an index or an over arc to
+    guess.
+    """
+    for eq in pending:
+        x, y, z, op = eq
+        if op is None:
+            if known[z]:
+                return (_EXPAND, x, bq.f.preimage_index(), z, None), eq
+        elif known[x] and known[z]:
+            return (_EXPAND, y, bq.solve_indexes(op).over, x, z), eq
+        elif known[x] and y == z:
+            return (_EXPAND, z, bq.solve_indexes(op).fixed, x, None), eq
+        elif known[z] and y == x:
+            return (_EXPAND, x, bq.solve_indexes(op).diagonal, z, None), eq
+    return (_EXPAND, pending[0][1], _ALL_COLORS, None, None), None
+
+
+def _execute(steps: List[tuple], first: List[Optional[np.ndarray]],
+             ) -> List[List[Optional[np.ndarray]]]:
+    """Run the plan on per-arc columns (None while unknown); return the
+    surviving pieces."""
+    done = []
+    stack = [(0, first)]
+    while stack:
+        i, cols = stack.pop()
+        while i < len(steps):
+            step = steps[i]
+            kind = step[0]
+            if kind == _SET2:
+                _, target, t, x, y = step
+                cols[target] = t[cols[x], cols[y]]
+            elif kind == _SET1:
+                _, target, t, x = step
+                cols[target] = t[cols[x]]
             else:
-                mask &= ft[cols[r.out_arc]] == cols[r.in_arc]
-        keep = np.nonzero(mask)[0]
-        for row in keep:
-            sols.append(tuple(int(cols[a][row]) for a in range(1, m + 1)))
-    return sorted(set(sols))
+                if kind == _EXPAND:
+                    cols = _expand(step, cols, i, stack)
+                else:
+                    if kind == _CHECK2:
+                        _, t, x, y, z = step
+                        mask = t[cols[x], cols[y]] == cols[z]
+                    else:
+                        _, t, x, z = step
+                        mask = t[cols[x]] == cols[z]
+                    if not mask.all():
+                        keep = np.flatnonzero(mask)
+                        cols = [None if c is None else c[keep] for c in cols]
+                if cols is None or len(cols[1]) == 0:
+                    break
+            i += 1
+        else:
+            done.append(cols)
+    return done
+
+
+def _expand(step: tuple, cols: List[Optional[np.ndarray]], i: int,
+            stack: List[tuple]) -> Optional[List[Optional[np.ndarray]]]:
+    """Give each row one copy per index entry; return None after pushing
+    the pieces of an input that would expand beyond ROW_CAP rows."""
+    _, target, (indptr, values), x, y = step
+    rows = len(cols[1])
+    if x is None:
+        key = np.zeros(rows, dtype=np.intp)
+    elif y is None:
+        key = cols[x]
+    else:
+        key = cols[x] * ORDER + cols[y]
+    lo = indptr[key]
+    counts = indptr[key + 1] - lo
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total > ROW_CAP and rows > 1:
+        cuts, start = [], 0
+        while start < rows:
+            stop = max(int(np.searchsorted(ends, ends[start] - counts[start]
+                                           + ROW_CAP, side="right")),
+                       start + 1)
+            cuts.append((start, stop))
+            start = stop
+        for start, stop in reversed(cuts):
+            stack.append((i, [None if c is None else c[start:stop]
+                              for c in cols]))
+        return None
+    if total == rows and (counts == 1).all():
+        cols[target] = values[lo]
+        return cols
+    rep = np.repeat(np.arange(rows), counts)
+    cols = [None if c is None else c[rep] for c in cols]
+    cols[target] = values[lo[rep] + np.arange(total) - (ends - counts)[rep]]
+    return cols
+
+
+def _solve_frontier(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
+                    end: Optional[GroupElement]) -> List[Tuple[int, ...]]:
+    m = cs.arc_count
+    first: List[Optional[np.ndarray]] = [None] * (m + 1)
+    first[1] = np.array([_index(*start)], dtype=np.intp)
+    if end is not None:
+        if m == 1 and end != start:
+            return []
+        first[m] = np.array([_index(*end)], dtype=np.intp)
+    steps = _plan(cs, bq, end is not None)
+    rows = set()
+    for cols in _execute(steps, first):
+        block = np.concatenate(cols[1:]).reshape(m, -1)
+        rows.update(map(tuple, block.T.tolist()))
+    return sorted(rows)
 
 
 # -- public solving API ----------------------------------------------------------
 
 
-def _as_result(d_name: str, cs: ConstraintSet, raw: List[Tuple[int, ...]],
+def _as_result(d_name: str, raw: List[Tuple[int, ...]],
                start: GroupElement, end: Optional[GroupElement],
-               engine: str, f_summary: Optional[str]) -> InvariantResult:
-    colorings = tuple(tuple(_element(i) for i in sol) for sol in raw)
+               f_summary: Optional[str]) -> InvariantResult:
+    colorings = tuple(tuple(map(ALL_ELEMENTS.__getitem__, sol)) for sol in raw)
     ends = frozenset(col[-1] for col in colorings)
     return InvariantResult(diagram_name=d_name, start_color=start,
                            end_pin=end, colorings=colorings,
                            end_colors=ends, count=len(colorings),
-                           engine=engine, f_summary=f_summary)
+                           f_summary=f_summary)
 
 
 def solve(d: LongDiagram, bq: Biquandle, start: GroupElement, *,
-          end: Optional[GroupElement] = None, engine: str = "propagation",
+          end: Optional[GroupElement] = None,
           constraints: Optional[ConstraintSet] = None,
           quandle_only: bool = False) -> InvariantResult:
     """All colorings with arc 1 pinned to ``start`` (and optionally the
@@ -292,30 +373,18 @@ def solve(d: LongDiagram, bq: Biquandle, start: GroupElement, *,
     """
     cs = constraints or build_constraints(d, bq, quandle_only=quandle_only)
     f_summary = bq.f.summary() if bq.f is not None else None
-    if engine == "propagation":
-        raw = _solve_propagation(cs, bq, start, end)
-    elif engine == "exhaustive":
-        raw = _solve_exhaustive(cs, bq, start, end)
-    elif engine == "both":
-        raw = _solve_propagation(cs, bq, start, end)
-        raw2 = _solve_exhaustive(cs, bq, start, end)
-        if raw != raw2:
-            raise AssertionError(
-                f"engines disagree on {d.name!r}: propagation found "
-                f"{len(raw)} colorings, exhaustive {len(raw2)}")
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return _as_result(d.name, cs, raw, start, end, engine, f_summary)
+    raw = _solve_frontier(cs, bq, start, end)
+    return _as_result(d.name, raw, start, end, f_summary)
 
 
 def classical_color_count(d: LongDiagram, bq: Biquandle, start: GroupElement,
                           *, end: Optional[GroupElement] = None,
-                          engine: str = "propagation") -> InvariantResult:
+                          ) -> InvariantResult:
     """Classical quandle mode: circ at every crossing, no virtual passes."""
     if d.has_virtual():
         raise HasVirtualPasses(
             f"diagram {d.name!r} has virtual passes; use solve() instead")
-    return solve(d, bq, start, end=end, engine=engine, quandle_only=True)
+    return solve(d, bq, start, end=end, quandle_only=True)
 
 
 @dataclass(frozen=True)
@@ -339,10 +408,9 @@ class DistinguishResult:
 
 
 def distinguish(d1: LongDiagram, d2: LongDiagram, bq: Biquandle,
-                start: GroupElement, *, engine: str = "propagation",
-                ) -> DistinguishResult:
-    r1 = solve(d1, bq, start, engine=engine)
-    r2 = solve(d2, bq, start, engine=engine)
+                start: GroupElement) -> DistinguishResult:
+    r1 = solve(d1, bq, start)
+    r2 = solve(d2, bq, start)
     if r1.count != r2.count:
         verdict, reason = "DISTINGUISHED", (
             f"coloring counts differ: {r1.count} vs {r2.count}")

@@ -15,9 +15,13 @@ virtual pass, so arc count = unders + virtual passes + 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+
+_TOKEN = re.compile(r"\S+")
 
 
 class PassKind(Enum):
@@ -133,18 +137,7 @@ def parse_diagram(text: str) -> LongDiagram:
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace():
-            j += 1
-        out.append((text[i:j], i))
-        i = j
-    return out
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
 def _parse_pass(tok: str, pos: int) -> Pass:

@@ -446,28 +446,28 @@ class ParityReport:
 
 
 def _parity_report(group: TorusGroup) -> ParityReport:
-    center = group.center()
-    values: Dict[ParityKey, set] = {}
-    has_nontrivial = False
-    all_central = True
-    for y in ALL_ELEMENTS:
-        y2 = group.mul(y, y)
-        for w in ALL_ELEMENTS:
-            a_val = group.commutator(w, y2)
-            key = (y.k % 2, y.l % 2, w.k % 2, w.l % 2)
-            values.setdefault(key, set()).add(a_val)
-            if a_val != IDENTITY:
-                has_nontrivial = True
-            if a_val not in center:
-                all_central = False
-    frozen = {key: frozenset(vals) for key, vals in values.items()}
+    m, inv = group.mul_table, group.inv_table
+    ar = np.arange(ORDER)
+    y2 = m[ar, ar][:, None]                     # rows: y, columns: w
+    w = ar[None, :]
+    comm = m[m[m[w, y2], inv[w]], inv[y2]]      # A = w y^2 w^-1 y^-2
+    k, l = np.divmod(ar, GRID)
+    parity = k % 2 * 2 + l % 2
+    key_code = parity[:, None] * 4 + parity[None, :]
+    frozen = {}
+    for code in range(16):                      # keys in sorted order
+        key = (code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1)
+        frozen[key] = frozenset(
+            _element(int(i)) for i in np.unique(comm[key_code == code]))
+    central = np.zeros(ORDER, dtype=bool)
+    central[[_index(*g) for g in group.center()]] = True
     all_constant = all(len(vals) == 1 for vals in frozen.values())
     mismatches = []
-    for key, vals in sorted(frozen.items()):
+    for key, vals in frozen.items():
         stated = _stated_parity_value(key)
         if vals != frozenset({stated}):
             mismatches.append((key, vals, stated))
     return ParityReport(values=frozen, all_constant=all_constant,
-                        all_central=all_central,
-                        has_nontrivial=has_nontrivial,
+                        all_central=bool(central[comm].all()),
+                        has_nontrivial=bool((comm != _index(*IDENTITY)).any()),
                         mismatches=mismatches)

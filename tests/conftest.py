@@ -21,8 +21,8 @@ def make_random_diagram(rng: random.Random, max_classical=3, max_virtual=2,
                         max_breaks=3, name="random") -> LongDiagram:
     """A random pairing-valid long diagram.
 
-    max_breaks caps unders + virtual passes so the exhaustive engine
-    stays affordable (free arcs = breaks when nothing is pinned).
+    max_breaks caps unders + virtual passes so the brute-force oracle
+    (tests/oracle.py) stays affordable (free arcs = breaks when nothing is pinned).
     """
     while True:
         c = rng.randint(0, max_classical)

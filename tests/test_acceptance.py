@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from biqknot.biquandle import FKind, audit, from_group, make_f
 from biqknot.coloring import (
     distinguish,
@@ -101,7 +102,8 @@ def test_criterion_6_right_trefoil_chain(group, bq):
     expected = tuple(eval_text(w, group) for w in
                      ("a", "a b^-1", "a^2 b^-1 a^-1", "(ab)^2 a^-1", "a b^2"))
     assert chain == expected
-    r = solve(builtin_trefoil("right"), bq, A, engine="both")
+    r = solve(builtin_trefoil("right"), bq, A)
+    assert r.colorings == oracle.colorings(builtin_trefoil("right"), bq, A)
     assert chain in r.colorings
     print("ACCEPTANCE 6 (right trefoil admits the exact arc chain "
           "(a, a b^-1, a^2 b^-1 a^-1, (ab)^2 a^-1, a b^2)): PASS")
@@ -109,16 +111,15 @@ def test_criterion_6_right_trefoil_chain(group, bq):
 
 def test_criterion_7_left_trefoil_empty_and_distinguished(group, bq):
     end = eval_text("a b^2", group)
-    prop = solve(builtin_trefoil("left"), bq, A, end=end,
-                 engine="propagation")
-    exh = solve(builtin_trefoil("left"), bq, A, end=end,
-                engine="exhaustive")
-    assert prop.count == 0 and exh.count == 0
-    assert prop.colorings == exh.colorings == ()
+    pinned = solve(builtin_trefoil("left"), bq, A, end=end)
+    brute = oracle.colorings(builtin_trefoil("left"), bq, A, end=end)
+    assert pinned.count == 0 and len(brute) == 0
+    assert pinned.colorings == brute == ()
     verdict = distinguish(builtin_trefoil("right"), builtin_trefoil("left"),
                           bq, A)
     assert verdict.verdict == "DISTINGUISHED"
-    print("ACCEPTANCE 7 (left trefoil end-pinned empty via both engines; "
+    print("ACCEPTANCE 7 (left trefoil end-pinned empty via the solver and "
+          "the brute-force oracle; "
           "DISTINGUISHED): PASS")
 
 
@@ -189,14 +190,13 @@ def test_criterion_10_property_suites(group, bq):
     for i in range(100):
         d = make_random_diagram(rng, max_breaks=7, name=f"roundtrip{i}")
         assert serialize(parse_diagram(serialize(d))) == serialize(d)
-    # engine equivalence on >= 100 random instances
+    # solver and brute-force oracle agree on >= 100 random instances
     checked = 0
     for i in range(110):
         d = make_random_diagram(rng, max_breaks=3, name=f"eq{i}")
         start = ALL_ELEMENTS[rng.randrange(64)]
-        r1 = solve(d, bq, start, engine="propagation")
-        r2 = solve(d, bq, start, engine="exhaustive")
-        assert r1.colorings == r2.colorings
+        assert solve(d, bq, start).colorings == \
+            oracle.colorings(d, bq, start)
         checked += 1
     # include instances at the two-virtual-crossing cap
     for i in range(4):
@@ -206,12 +206,11 @@ def test_criterion_10_property_suites(group, bq):
             d = make_random_diagram(rng, max_classical=0, max_virtual=2,
                                     max_breaks=4, name=f"eqv{i}")
         start = ALL_ELEMENTS[rng.randrange(64)]
-        r1 = solve(d, bq, start, engine="propagation")
-        r2 = solve(d, bq, start, engine="exhaustive")
-        assert r1.colorings == r2.colorings
+        assert solve(d, bq, start).colorings == \
+            oracle.colorings(d, bq, start)
         checked += 1
     assert checked >= 100
-    print("ACCEPTANCE 10 (parser round trips, engine equivalence on "
+    print("ACCEPTANCE 10 (parser round trips, solver = oracle on "
           f"{checked} random diagrams, normal-form round trips): PASS")
 
 

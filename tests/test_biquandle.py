@@ -251,3 +251,27 @@ def test_division_rejects_non_invertible_table():
     table[5, 9] = 6  # column 9 now hits 6 twice and misses 5
     with pytest.raises(ValueError, match="not right-invertible"):
         _solve_division(table)
+
+
+def _row(index, k):
+    indptr, values = index
+    return values[indptr[k]:indptr[k + 1]].tolist()
+
+
+def test_solve_indexes_list_every_solution(group, bq):
+    for which in ("circ", "star"):
+        t = bq._table(which).tolist()
+        idx = bq.solve_indexes(which)
+        assert bq.solve_indexes(which) is idx          # built once
+        for x in range(64):
+            for z in range(64):
+                assert _row(idx.over, x * 64 + z) == \
+                    [y for y in range(64) if t[x][y] == z]
+            assert _row(idx.fixed, x) == [y for y in range(64) if t[x][y] == y]
+            assert _row(idx.diagonal, x) == [y for y in range(64) if t[y][y] == x]
+    f = bq.f
+    pre = f.preimage_index()
+    assert f.preimage_index() is pre
+    for y in ALL_ELEMENTS:
+        assert [ALL_ELEMENTS[i] for i in _row(pre, _index(*y))] == \
+            list(f.preimages(y))

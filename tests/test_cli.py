@@ -1,6 +1,6 @@
 import json
 
-from biqknot import torus_group
+from biqknot import coloring, torus_group
 from biqknot.cli import main
 from biqknot.group_words import format_normal
 from biqknot.torus_group import (ALL_ELEMENTS, Convention, SeamTwist,
@@ -222,17 +222,33 @@ def test_deeply_nested_word_exit_code(capsys):
     assert "nested deeper" in err
 
 
-def test_internal_error_exit_code(capsys, tmp_path):
-    # the recursive solver cannot walk 600 relations (its recursion is
-    # about two frames per relation); that failure is internal, not an
-    # audit failure
+def _chain600(tmp_path):
     body = " ".join(f"O{i}+ U{i}+" for i in range(1, 601))
     path = tmp_path / "chain.txt"
     path.write_text(f"longknot chain600\n{body}\n")
-    code, out, err = run(capsys, "color", str(path), "--start", "a")
+    return path
+
+
+def test_internal_error_exit_code(capsys, tmp_path, monkeypatch):
+    # an unexpected exception inside a command is internal, not an audit
+    # failure
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(coloring, "solve", broken_solve)
+    code, out, err = run(capsys, "color", str(_chain600(tmp_path)),
+                         "--start", "a")
     assert code == 3
-    assert err.startswith("internal error: RecursionError: ")
+    assert err.startswith("internal error: RuntimeError: ")
     assert "Traceback" not in err
+
+
+def test_long_chain_colors(capsys, tmp_path):
+    # the solver does not recurse, so 600 relations need no stack depth
+    code, out, _ = run(capsys, "color", str(_chain600(tmp_path)),
+                       "--start", "a")
+    assert code == 0
+    assert "count:   1" in out.splitlines()
 
 
 def test_directory_as_diagram_exit_code(capsys, tmp_path):

@@ -1,7 +1,12 @@
+import ast
+import inspect
 import random
+import time
 
 import pytest
 
+import oracle
+from biqknot import coloring
 from biqknot.biquandle import Biquandle, FKind, MissingF, from_group, make_f
 from biqknot.coloring import (
     ClassicalRelation,
@@ -14,7 +19,8 @@ from biqknot.coloring import (
     select_f_candidate,
     solve,
 )
-from biqknot.diagram import builtin_trefoil, parse_diagram
+from biqknot.diagram import (LongDiagram, Pass, PassKind, builtin_trefoil,
+                             parse_diagram)
 from biqknot.group_words import eval_text
 from biqknot.torus_group import ALL_ELEMENTS, GroupElement
 from conftest import make_random_diagram
@@ -26,7 +32,8 @@ AB2 = GroupElement(1, 2)
 def test_unknot_single_coloring(group, bq):
     d = parse_diagram("longknot unknot\n")
     for g in (A, GroupElement(5, 3)):
-        r = solve(d, bq, g, engine="both")
+        r = solve(d, bq, g)
+        assert r.colorings == oracle.colorings(d, bq, g)
         assert r.count == 1
         assert r.colorings == ((g,),)
         assert r.end_colors == frozenset({g})
@@ -68,7 +75,8 @@ def test_right_trefoil_reference_chain(group, bq):
         eval_text("(ab)^2 a^-1", group),
         eval_text("a b^2", group),
     )
-    r = solve(builtin_trefoil("right"), bq, A, engine="both")
+    r = solve(builtin_trefoil("right"), bq, A)
+    assert r.colorings == oracle.colorings(builtin_trefoil("right"), bq, A)
     assert chain in r.colorings
     assert r.count == 4
     assert r.colorings[0] == chain  # sorts first
@@ -77,9 +85,12 @@ def test_right_trefoil_reference_chain(group, bq):
 
 
 def test_left_trefoil_excludes_reference_end(group, bq):
-    r = solve(builtin_trefoil("left"), bq, A, engine="both")
+    r = solve(builtin_trefoil("left"), bq, A)
+    assert r.colorings == oracle.colorings(builtin_trefoil("left"), bq, A)
     assert AB2 not in r.end_colors
-    pinned = solve(builtin_trefoil("left"), bq, A, end=AB2, engine="both")
+    pinned = solve(builtin_trefoil("left"), bq, A, end=AB2)
+    assert pinned.colorings == oracle.colorings(builtin_trefoil("left"), bq,
+                                                A, end=AB2)
     assert pinned.count == 0
     assert pinned.colorings == ()
 
@@ -147,9 +158,8 @@ def test_classical_mode(group, bq):
     d = parse_diagram("longknot classical\nU1+ O1+\n")
     cs = build_constraints(d, bq, quandle_only=True)
     assert all(r.op == "circ" for r in cs.relations)
-    r = classical_color_count(d, bq, A, engine="propagation")
-    r2 = classical_color_count(d, bq, A, engine="exhaustive")
-    assert r.colorings == r2.colorings
+    r = classical_color_count(d, bq, A)
+    assert r.colorings == oracle.colorings(d, bq, A, quandle_only=True)
     for col in r.colorings:
         assert bq.circ(col[0], col[1]) == col[1]
 
@@ -157,12 +167,13 @@ def test_classical_mode(group, bq):
 def test_trefoil_colorings_with_other_starts(group, bq):
     # start pinning is honored for any start color
     g0 = GroupElement(2, 3)
-    r = solve(builtin_trefoil("right"), bq, g0, engine="both")
+    r = solve(builtin_trefoil("right"), bq, g0)
+    assert r.colorings == oracle.colorings(builtin_trefoil("right"), bq, g0)
     for col in r.colorings:
         assert col[0] == g0
 
 
-def test_engine_equivalence_randomized(group, bq):
+def test_oracle_agreement_randomized(group, bq):
     rng = random.Random(20260808)
     shear = make_f(group, FKind.SHEAR)
     bq_shear = Biquandle(group, 2).attach_f(shear)
@@ -172,32 +183,189 @@ def test_engine_equivalence_randomized(group, bq):
         b = bq if i % 2 == 0 else bq_shear
         start = ALL_ELEMENTS[rng.randrange(64)]
         end = ALL_ELEMENTS[rng.randrange(64)] if rng.random() < 0.3 else None
-        r1 = solve(d, b, start, end=end, engine="propagation")
-        r2 = solve(d, b, start, end=end, engine="exhaustive")
-        assert r1.colorings == r2.colorings, f"engines disagree on {d}"
+        r = solve(d, b, start, end=end)
+        assert r.colorings == oracle.colorings(d, b, start, end=end), \
+            f"solver and oracle disagree on {d}"
         checked += 1
     assert checked >= 100
 
 
-def test_engine_equivalence_larger_free_count(group, bq):
+def test_oracle_agreement_larger_free_count(group, bq):
     rng = random.Random(7)
     for i in range(3):
         d = make_random_diagram(rng, max_breaks=4, name=f"big{i}")
-        r1 = solve(d, bq, A, engine="propagation")
-        r2 = solve(d, bq, A, engine="exhaustive")
-        assert r1.colorings == r2.colorings
+        assert solve(d, bq, A).colorings == oracle.colorings(d, bq, A)
 
 
-def test_exhaustive_guard(group, bq):
-    # 3 classical + 2 virtual = 7 breaks: too many free arcs to sweep
+def _satisfies(bq, cs, col):
+    values = {i + 1: g for i, g in enumerate(col)}
+    for rel in cs.relations:
+        if isinstance(rel, ClassicalRelation):
+            if bq.op(rel.op, values[rel.in_arc],
+                     values[rel.over_arc]) != values[rel.out_arc]:
+                return False
+        elif rel.direction == "fwd":
+            if bq.f(values[rel.in_arc]) != values[rel.out_arc]:
+                return False
+        elif bq.f(values[rel.out_arc]) != values[rel.in_arc]:
+            return False
+    return True
+
+
+def test_seven_break_diagram_solves(group, bq):
+    # 3 classical + 2 virtual = 7 breaks: too many free arcs for the oracle
     d = parse_diagram(
         "longknot big\nO1+ U1+ O2+ U2+ O3+ U3+ V1 V1 V2 V2\n")
     with pytest.raises(ValueError):
-        solve(d, bq, A, engine="exhaustive")
-    # propagation still works
-    r = solve(d, bq, A, engine="propagation")
+        oracle.colorings(d, bq, A)
+    r = solve(d, bq, A)
+    cs = build_constraints(d, bq)
+    assert r.count > 0
     for col in r.colorings:
         assert col[0] == A
+        assert _satisfies(bq, cs, col)
+
+
+def test_split_frontier_matches_oracle(group, bq, monkeypatch):
+    # with a tiny row cap every expansion of more than one row is split
+    # and its pieces wait on the stack
+    splits = []
+    expand = coloring._expand
+
+    def spy(step, cols, i, stack):
+        out = expand(step, cols, i, stack)
+        splits.append(out is None)
+        return out
+
+    monkeypatch.setattr(coloring, "ROW_CAP", 8)
+    monkeypatch.setattr(coloring, "_expand", spy)
+    rng = random.Random(88)
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    for i in range(60):
+        d = make_random_diagram(rng, max_breaks=3, name=f"cap{i}")
+        b = bq if i % 2 == 0 else shear
+        start = ALL_ELEMENTS[rng.randrange(64)]
+        end = ALL_ELEMENTS[rng.randrange(64)] if rng.random() < 0.3 else None
+        assert solve(d, b, start, end=end).colorings == \
+            oracle.colorings(d, b, start, end=end), f"disagree on {d}"
+    assert any(splits)
+
+
+@pytest.mark.parametrize("kink", ["U9+ O9+", "U9- O9-", "O9+ U9+",
+                                  "O9- U9-", "V9 V9"])
+def test_r1_kinks_match_oracle(group, bq, kink):
+    # a relation that repeats an arc (over arc = out arc, over arc = in
+    # arc) or a virtual kink, at every position of small diagrams
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    rng = random.Random(kink)
+    bases = [make_random_diagram(rng, max_breaks=2, name=f"base{i}")
+             for i in range(6)]
+    bases.append(parse_diagram("longknot unknot\n"))
+    kink_passes = parse_diagram(f"longknot k\n{kink}\n").passes
+    for base in bases:
+        for pos in range(len(base.passes) + 1):
+            passes = base.passes[:pos] + kink_passes + base.passes[pos:]
+            d = LongDiagram(name="kinked", passes=passes)
+            # pin the end of the longer ones, so the oracle sweeps at
+            # most three free arcs
+            end = (ALL_ELEMENTS[rng.randrange(64)] if d.arc_count >= 4
+                   else None)
+            for b in (bq, shear):
+                start = ALL_ELEMENTS[rng.randrange(64)]
+                assert solve(d, b, start, end=end).colorings == \
+                    oracle.colorings(d, b, start, end=end), f"disagree on {d}"
+
+
+def _early_over_chain(rng, crossings):
+    """Every over pass precedes its under; an under closes a random open
+    crossing."""
+    passes, open_, nxt = [], [], 1
+    while nxt <= crossings or open_:
+        if nxt <= crossings and (not open_ or rng.random() < 0.5):
+            sign = rng.choice("+-")
+            passes.append(Pass(PassKind.OVER, str(nxt), sign))
+            open_.append((str(nxt), sign))
+            nxt += 1
+        else:
+            cid, sign = open_.pop(rng.randrange(len(open_)))
+            passes.append(Pass(PassKind.UNDER, cid, sign))
+    return LongDiagram(name=f"chain{crossings}", passes=tuple(passes))
+
+
+def test_long_early_over_chain(group, bq):
+    d = _early_over_chain(random.Random(10000), 10000)
+    cs = build_constraints(d, bq)
+    start = GroupElement(3, 5)
+    t0 = time.perf_counter()
+    r = solve(d, bq, start, constraints=cs)
+    elapsed = time.perf_counter() - t0
+    assert r.count == 1
+    # the fold along the chain: each under pass applies its table
+    tables = {"circ": bq.circ_table.tolist(), "star": bq.star_table.tolist()}
+    arc = [None, 3 * 8 + 5]
+    for rel in cs.relations:
+        arc.append(tables[rel.op][arc[rel.in_arc]][arc[rel.over_arc]])
+    assert [8 * g.k + g.l for g in r.colorings[0]] == arc[1:]
+    assert elapsed < 2.0, f"10 000-crossing chain took {elapsed:.2f} s"
+
+
+def test_random_pairs_distinguish_quickly(group, bq):
+    # 200 seeded random pairs (d, its crossing change), 8 classical and
+    # 0-2 virtual crossings each
+    rng = random.Random(8)
+    swap = {PassKind.OVER: PassKind.UNDER, PassKind.UNDER: PassKind.OVER,
+            PassKind.VIRTUAL: PassKind.VIRTUAL}
+    pairs = []
+    for i in range(200):
+        passes = []
+        for c in range(1, 9):
+            sign = rng.choice("+-")
+            passes += [Pass(PassKind.OVER, str(c), sign),
+                       Pass(PassKind.UNDER, str(c), sign)]
+        for v in range(1, rng.randint(0, 2) + 1):
+            passes += [Pass(PassKind.VIRTUAL, str(v), None)] * 2
+        rng.shuffle(passes)
+        d = LongDiagram(name=f"pair{i}", passes=tuple(passes))
+        changed = LongDiagram(name=f"{d.name}-changed", passes=tuple(
+            Pass(swap[p.kind], p.crossing_id, p.sign) for p in d.passes))
+        pairs.append((d, changed))
+    t0 = time.perf_counter()
+    for d, changed in pairs:
+        distinguish(d, changed, bq, A)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"200 pairs took {elapsed:.2f} s"
+
+
+def _calls(fn):
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_coloring_does_not_recurse():
+    # the call graph among the module's functions has no cycle
+    tree = ast.parse(inspect.getsource(coloring))
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    graph = {name: _calls(fn) & funcs.keys() for name, fn in funcs.items()}
+    state = {}
+
+    def acyclic_from(name):
+        stack = [(name, iter(graph[name]))]
+        state[name] = "open"
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[node] = "done"
+                stack.pop()
+            elif state.get(nxt) == "open":
+                return False
+            elif nxt not in state:
+                state[nxt] = "open"
+                stack.append((nxt, iter(graph[nxt])))
+        return True
+
+    assert all(acyclic_from(name) for name in graph if name not in state)
 
 
 def test_f_candidate_selection(group):

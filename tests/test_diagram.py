@@ -12,6 +12,7 @@ from biqknot.diagram import (
     arcs,
     builtin_trefoil,
     classify,
+    _tokenize,
     parse_diagram,
     serialize,
 )
@@ -124,3 +125,44 @@ def test_arc_count_formula_random():
 def test_construction_validates():
     with pytest.raises(PairingError):
         LongDiagram(name="bad", passes=(Pass(PassKind.OVER, "1", "+"),))
+
+
+def _tokenize_by_loop(text):
+    """The character-by-character scanner the regex scan replaced."""
+    out, i = [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace():
+            j += 1
+        out.append((text[i:j], i))
+        i = j
+    return out
+
+
+def test_tokenize_offsets_with_tabs_crlf_and_comments():
+    texts = [
+        "longknot\tdemo\r\nV1\tU1+  O2+ # note\r\nO1+ V1 U2+\r\n",
+        "\t\r\n  longknot x # c\r\n\r\n\tO1+\x0bU1+\x0c\x1cV2 V2  ",
+        "",
+        " \t\r\n",
+        "# only a comment\r\n",
+    ]
+    for text in texts:
+        assert _tokenize(text) == _tokenize_by_loop(text), repr(text)
+    # the offsets errors report are unchanged (values from the loop
+    # scanner); comments are padded, so every offset is into the text
+    cases = [
+        ("longknot demo\r\n\tO1+ X9\r\n", 20, "X9"),
+        ("# header first\r\n\tnope\r\n", 17, "nope"),
+        ("longknot d # c\r\n\tV1 U1 V1\r\n", 20, "U1"),
+        ("longknot d\t# O1+\r\n  O1+\tU1+ O2\r\n", 28, "O2"),
+        ("longknot d\r\n\tO1+ # U1+\r\n\t V1 V1 \tV1+ #x\r\n", 33, "V1+"),
+    ]
+    for text, offset, token in cases:
+        with pytest.raises(DiagramSyntaxError) as err:
+            parse_diagram(text)
+        assert err.value.offset == offset, repr(text)
+        assert text[offset:].split()[0] == token

@@ -9,11 +9,15 @@ from biqknot.torus_group import (
     ColPhase,
     CompositionOrder,
     Convention,
+    ConventionInconsistent,
     GroupElement,
+    ParityReport,
     RowPhase,
     SeamTwist,
+    TorusGroup,
     Vertex,
     _index,
+    _stated_parity_value,
     all_conventions,
     build_group,
     calibrate_convention,
@@ -211,3 +215,50 @@ def test_every_convention_matches_closed_form_law(conv):
     assert np.array_equal(g.mul_table, expected)
     ar = np.arange(ORDER)
     assert np.array_equal(g.mul_table[ar, g.inv_table], np.zeros(ORDER))
+
+
+def _parity_report_by_loop(group):
+    """The pairwise sweep the table gather replaced."""
+    center = group.center()
+    values = {}
+    has_nontrivial, all_central = False, True
+    for y in ALL_ELEMENTS:
+        y2 = group.mul(y, y)
+        for w in ALL_ELEMENTS:
+            a_val = group.commutator(w, y2)
+            key = (y.k % 2, y.l % 2, w.k % 2, w.l % 2)
+            values.setdefault(key, set()).add(a_val)
+            has_nontrivial |= a_val != E
+            all_central &= a_val in center
+    frozen = {key: frozenset(vals) for key, vals in values.items()}
+    mismatches = []
+    for key, vals in sorted(frozen.items()):
+        stated = _stated_parity_value(key)
+        if vals != frozenset({stated}):
+            mismatches.append((key, vals, stated))
+    return ParityReport(
+        values=frozen,
+        all_constant=all(len(vals) == 1 for vals in frozen.values()),
+        all_central=all_central, has_nontrivial=has_nontrivial,
+        mismatches=mismatches)
+
+
+def test_parity_report_matches_loop(group):
+    groups = [group]
+    for conv in all_conventions()[::4]:
+        try:
+            groups.append(build_group(conv))
+        except ConventionInconsistent:
+            pass
+    # a relabeled copy (identity kept at index 0) breaks the pattern
+    rng = np.random.default_rng(5)
+    sigma = np.concatenate([[0], 1 + rng.permutation(ORDER - 1)])
+    relabeled = np.empty_like(group.mul_table)
+    relabeled[sigma[:, None], sigma[None, :]] = sigma[group.mul_table]
+    groups.append(TorusGroup(group.convention, relabeled,
+                             {g: group.vertex_of(g) for g in ALL_ELEMENTS}))
+    assert groups[-1].parity_table().mismatches
+    for g in groups:
+        rep = g.parity_table()
+        assert rep == _parity_report_by_loop(g)
+        assert list(rep.values) == sorted(rep.values)
