@@ -69,7 +69,6 @@ from .coloring import (
     VirtualRelation,
     build_constraints,
     calibrated_biquandle,
-    classical_color_count,
     distinguish,
     reference_right_chain,
     select_f_candidate,

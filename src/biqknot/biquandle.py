@@ -6,7 +6,10 @@ together with their right divisions.  An optional unary bijection-like
 map f (with inverse when it has one) completes the structure.  ``audit``
 sweeps every axiom over its full quantifier domain and reports failures
 as data with counterexamples; nothing aborts, since documenting which
-axioms a candidate f satisfies is part of the job.
+axioms a candidate f satisfies is part of the job.  A counterexample is
+the first failing assignment in C order: the variables as the report
+names them (x; x, y; a, b, c; x, a, b), each ranging over element
+indexes k * 8 + l, the first varying slowest.
 """
 
 from __future__ import annotations
@@ -104,14 +107,9 @@ def _audit_candidate(group: TorusGroup, kind: FKind, name: str,
     if bijective:
         inverse = np.empty(ORDER, dtype=np.int64)
         inverse[table] = np.arange(ORDER)
-    mult_witness = None
     m = group.mul_table
-    lhs = table[m]                      # f(gh)
-    rhs = m[table[:, None], table[None, :]]  # f(g) f(h)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        gi, hi = (int(t) for t in bad[0])
-        mult_witness = (_element(gi), _element(hi))
+    bad = _first_bad(table[m] != m[table[:, None], table[None, :]])  # f(gh), f(g) f(h)
+    mult_witness = None if bad is None else (_element(bad[0]), _element(bad[1]))
     return FCandidate(kind=kind, name=name, table=table,
                       bijective=bijective, inverse_table=inverse,
                       multiplicative=mult_witness is None,
@@ -331,10 +329,23 @@ _OP_NAMES: Tuple[OpName, ...] = ("circ", "star", "circ_div", "star_div")
 
 
 def _first_bad(mask_bad: np.ndarray) -> Optional[Tuple[int, ...]]:
-    idx = np.argwhere(mask_bad)
-    if len(idx) == 0:
+    """Index of the first True entry in C order, or None."""
+    i = int(mask_bad.argmax())
+    if not mask_bad.flat[i]:
         return None
-    return tuple(int(t) for t in idx[0])
+    return tuple(int(t) for t in np.unravel_index(i, mask_bad.shape))
+
+
+def _sweep(axiom_id: str, names: str, lhs: np.ndarray,
+           rhs: np.ndarray) -> AxiomResult:
+    """Check lhs == rhs over their broadcast domain, one axis per variable
+    in ``names``; a failure carries the first mismatch in C order."""
+    mask_bad = lhs != rhs
+    bad = _first_bad(mask_bad)
+    return AxiomResult(
+        axiom_id, mask_bad.size, bad is None,
+        counterexample=None if bad is None else
+        {name: _element(i) for name, i in zip(names, bad)})
 
 
 def audit(bq: Biquandle) -> AxiomReport:
@@ -343,39 +354,29 @@ def audit(bq: Biquandle) -> AxiomReport:
                          f_name=bq.f.name if bq.f else None)
     res = report.results
     rng = np.arange(ORDER)
+    # uint8 copies: the sweeps' 64^3 temporaries stay small enough for the
+    # allocator to reuse instead of returning them to the OS every sweep.
+    tab = {op: bq._table(op).astype(np.uint8) for op in _OP_NAMES}
 
     for opname in ("circ", "star"):
-        t = bq._table(opname)
-        bad = _first_bad(t[rng, rng] != rng)
-        res.append(AxiomResult(
-            f"idempotence-{opname}", ORDER, bad is None,
-            counterexample=None if bad is None else {"x": _element(bad[0])}))
+        t = tab[opname]
+        res.append(_sweep(f"idempotence-{opname}", "x", t[rng, rng], rng))
 
     for opname in ("circ", "star"):
-        t = bq._table(opname)
-        d = bq._table(opname + "_div")
-        for label, composed in ((f"right-invert-{opname}-div-after", d[t, rng[None, :]]),
-                                (f"right-invert-{opname}-div-before", t[d, rng[None, :]])):
-            bad = _first_bad(composed != rng[:, None])
-            res.append(AxiomResult(
-                label, ORDER * ORDER, bad is None,
-                counterexample=None if bad is None else
-                {"x": _element(bad[0]), "y": _element(bad[1])}))
+        t, d = tab[opname], tab[opname + "_div"]
+        res.append(_sweep(f"right-invert-{opname}-div-after", "xy",
+                          d[t, rng[None, :]], rng[:, None]))
+        res.append(_sweep(f"right-invert-{opname}-div-before", "xy",
+                          t[d, rng[None, :]], rng[:, None]))
 
     # (a <> b) <*> c = (a <*> c) <> (b <*> c) for all 16 operation pairs
     for dia in _OP_NAMES:
-        td = bq._table(dia)
+        td = tab[dia]
         for bullet in _OP_NAMES:
-            tb = bq._table(bullet)
-            lhs = tb[td[:, :, None], rng[None, None, :]]
-            rhs = td[tb[:, None, :], tb[None, :, :]]
-            bad = _first_bad(lhs != rhs)
-            res.append(AxiomResult(
-                f"self-distributivity-{dia}-over-{bullet}", ORDER ** 3,
-                bad is None,
-                counterexample=None if bad is None else
-                {"a": _element(bad[0]), "b": _element(bad[1]),
-                 "c": _element(bad[2])}))
+            tb = tab[bullet]
+            res.append(_sweep(f"self-distributivity-{dia}-over-{bullet}", "abc",
+                              tb[td[:, :, None], rng[None, None, :]],
+                              td[tb[:, None, :], tb[None, :, :]]))
 
     if bq.f is None:
         for opname in ("circ", "star"):
@@ -386,15 +387,11 @@ def audit(bq: Biquandle) -> AxiomReport:
                                skip_reason="no f attached"))
     else:
         ft = bq.f.table
+        f8 = ft.astype(np.uint8)
         for opname in ("circ", "star"):
-            t = bq._table(opname)
-            lhs = ft[t]
-            rhs = t[ft[:, None], ft[None, :]]
-            bad = _first_bad(lhs != rhs)
-            res.append(AxiomResult(
-                f"f-equivariance-{opname}", ORDER * ORDER, bad is None,
-                counterexample=None if bad is None else
-                {"a": _element(bad[0]), "b": _element(bad[1])}))
+            t = tab[opname]
+            res.append(_sweep(f"f-equivariance-{opname}", "ab",
+                              f8[t], t[f8[:, None], f8[None, :]]))
         if bq.f.inverse_table is None:
             cx = None
             if bq.f.collision_witness:
@@ -407,20 +404,13 @@ def audit(bq: Biquandle) -> AxiomReport:
             ok = (np.array_equal(ft[inv], rng) and np.array_equal(inv[ft], rng))
             res.append(AxiomResult("f-roundtrip", ORDER, ok))
 
-    ct, st = bq.circ_table, bq.star_table
-    cd, sd = bq.circ_div_table, bq.star_div_table
     for dia in _OP_NAMES:
-        td = bq._table(dia)
+        td = tab[dia]
         for label, left_inner, right_inner in (
-                (f"strange-I-{dia}", ct, st),
-                (f"strange-II-{dia}", cd, sd)):
-            lhs = td[rng[:, None, None], left_inner[None, :, :]]
-            rhs = td[rng[:, None, None], right_inner[None, :, :]]
-            bad = _first_bad(lhs != rhs)
-            res.append(AxiomResult(
-                label, ORDER ** 3, bad is None,
-                counterexample=None if bad is None else
-                {"x": _element(bad[0]), "a": _element(bad[1]),
-                 "b": _element(bad[2])}))
+                (f"strange-I-{dia}", tab["circ"], tab["star"]),
+                (f"strange-II-{dia}", tab["circ_div"], tab["star_div"])):
+            res.append(_sweep(label, "xab",
+                              td[rng[:, None, None], left_inner[None, :, :]],
+                              td[rng[:, None, None], right_inner[None, :, :]]))
 
     return report

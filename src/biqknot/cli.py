@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from . import biquandle as bq_mod
 from . import coloring as col_mod
@@ -116,10 +116,6 @@ def _split_pair(line: str):
         "forms with a tab or two spaces")
 
 
-def _header(group: TorusGroup) -> str:
-    return f"convention: {group.convention.describe()}"
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -134,147 +130,97 @@ def main(argv=None) -> int:
         return 3
 
 
+def _emit(group: Optional[TorusGroup], as_json: bool, payload: Dict,
+          text: str) -> None:
+    """Print one result, stamped with the group's convention: a header line
+    above the text, or a JSON key after the payload's own keys (unless the
+    payload already places it).  Without a group there is no stamp."""
+    if group is None:
+        print(json.dumps(payload) if as_json else text)
+    elif as_json:
+        payload.setdefault("convention", group.convention.describe())
+        print(json.dumps(payload))
+    else:
+        print(f"convention: {group.convention.describe()}")
+        print(text)
+
+
 def _dispatch(args) -> int:
     group = build_default_group()
     as_json = args.format == "json"
 
     if args.command == "group":
-        return _cmd_group(args, group, as_json)
+        if args.group_command == "calibrate":
+            calibration = calibrate_convention()
+            frozen = calibration.convention.describe()
+            matches = [c.describe() for c in calibration.matches]
+            _emit(None, as_json, {"frozen": frozen, "matches": matches},
+                  "\n".join([f"frozen convention: {frozen}",
+                             f"matching variants ({len(matches)}):",
+                             *(f"  {m}" for m in matches)]))
+        else:
+            _emit(group, as_json, *_group_report(args, group))
+        return 0
     if args.command == "audit":
-        return _cmd_audit(args, group, as_json)
+        cand = _load_f(group, args.f_spec, args.n_twist)
+        bq = bq_mod.Biquandle(group, args.n_twist).attach_f(cand)
+        report = bq_mod.audit(bq)
+        _emit(group, as_json, report.to_json(),
+              f"n = {args.n_twist}, f = {cand.summary()}\n{report.to_text()}")
+        return 0 if report.passed else 1
     if args.command == "color":
-        return _cmd_color(args, group, as_json)
-    if args.command == "distinguish":
-        return _cmd_distinguish(args, group, as_json)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        d = _load_diagram(args.diagram)
+        bq = col_mod.calibrated_biquandle(group)
+        start = eval_text(args.start, group)
+        end = eval_text(args.end, group) if args.end else None
+        result = col_mod.solve(d, bq, start, end=end)
+    else:
+        d1 = _load_diagram(args.diagram1)
+        d2 = _load_diagram(args.diagram2)
+        bq = col_mod.calibrated_biquandle(group)
+        result = col_mod.distinguish(d1, d2, bq, eval_text(args.start, group))
+    _emit(group, as_json, result.to_json(), result.to_text())
+    return 0
 
 
-def _cmd_group(args, group, as_json) -> int:
+def _group_report(args, group: TorusGroup) -> Tuple[Dict, str]:
+    """JSON payload (convention first) and text of a ``group`` subcommand."""
+    head = {"convention": group.convention.describe()}
     cmd = args.group_command
     if cmd == "eval":
-        value = eval_text(args.word, group)
-        if as_json:
-            print(json.dumps({"convention": group.convention.describe(),
-                              "word": args.word,
-                              "normal_form": format_normal(value)}))
-        else:
-            print(_header(group))
-            print(format_normal(value))
-        return 0
+        value = format_normal(eval_text(args.word, group))
+        return {**head, "word": args.word, "normal_form": value}, value
     if cmd == "center":
-        members = sorted(group.center())
-        if as_json:
-            print(json.dumps({"convention": group.convention.describe(),
-                              "center": [format_normal(g) for g in members]}))
-        else:
-            print(_header(group))
-            for g in members:
-                print(format_normal(g))
-        return 0
+        members = [format_normal(g) for g in sorted(group.center())]
+        return {**head, "center": members}, "\n".join(members)
     if cmd == "table":
-        if as_json:
-            rows = {
-                format_normal(g): {
-                    format_normal(h): format_normal(group.mul(g, h))
-                    for h in ALL_ELEMENTS}
-                for g in ALL_ELEMENTS}
-            print(json.dumps({"convention": group.convention.describe(),
-                              "table": rows}))
-        else:
-            print(_header(group))
-            for g in ALL_ELEMENTS:
-                row = " | ".join(format_normal(group.mul(g, h))
-                                 for h in ALL_ELEMENTS)
-                print(f"{format_normal(g)} : {row}")
-        return 0
-    if cmd == "parity-table":
-        rep = group.parity_table()
-        if as_json:
-            print(json.dumps({
-                "convention": group.convention.describe(),
-                "all_constant": rep.all_constant,
-                "all_central": rep.all_central,
-                "has_nontrivial": rep.has_nontrivial,
-                "classes": {
-                    str(key): sorted(format_normal(g) for g in vals)
-                    for key, vals in sorted(rep.values.items())},
-                "mismatches": [
-                    {"class": str(k), "found": sorted(format_normal(g) for g in v),
-                     "stated": format_normal(s)}
-                    for k, v, s in rep.mismatches],
-            }))
-        else:
-            print(_header(group))
-            print("parity (i, j, k, l) -> values of w y^2 w^-1 y^-2")
-            for key, vals in sorted(rep.values.items()):
-                text = ", ".join(sorted(format_normal(g) for g in vals))
-                print(f"  {key}: {text}")
-            print(f"all classes constant: {rep.all_constant}")
-            print(f"all values central:   {rep.all_central}")
-            print(f"nontrivial value:     {rep.has_nontrivial}")
-            print(f"mismatches vs stated pattern: {len(rep.mismatches)}")
-        return 0
-    if cmd == "calibrate":
-        calibration = calibrate_convention()
-        if as_json:
-            print(json.dumps({
-                "frozen": calibration.convention.describe(),
-                "matches": [c.describe() for c in calibration.matches],
-            }))
-        else:
-            print(f"frozen convention: {calibration.convention.describe()}")
-            print(f"matching variants ({len(calibration.matches)}):")
-            for c in calibration.matches:
-                print(f"  {c.describe()}")
-        return 0
-    raise AssertionError(f"unhandled group command {cmd!r}")
-
-
-def _cmd_audit(args, group, as_json) -> int:
-    cand = _load_f(group, args.f_spec, args.n_twist)
-    bq = bq_mod.Biquandle(group, args.n_twist).attach_f(cand)
-    report = bq_mod.audit(bq)
-    if as_json:
-        payload = report.to_json()
-        payload["convention"] = group.convention.describe()
-        print(json.dumps(payload))
-    else:
-        print(_header(group))
-        print(f"n = {args.n_twist}, f = {cand.summary()}")
-        print(report.to_text())
-    return 0 if report.passed else 1
-
-
-def _cmd_color(args, group, as_json) -> int:
-    d = _load_diagram(args.diagram)
-    bq = col_mod.calibrated_biquandle(group)
-    start = eval_text(args.start, group)
-    end = eval_text(args.end, group) if args.end else None
-    result = col_mod.solve(d, bq, start, end=end)
-    if as_json:
-        payload = result.to_json()
-        payload["convention"] = group.convention.describe()
-        print(json.dumps(payload))
-    else:
-        print(_header(group))
-        print(result.to_text())
-    return 0
-
-
-def _cmd_distinguish(args, group, as_json) -> int:
-    d1 = _load_diagram(args.diagram1)
-    d2 = _load_diagram(args.diagram2)
-    bq = col_mod.calibrated_biquandle(group)
-    start = eval_text(args.start, group)
-    result = col_mod.distinguish(d1, d2, bq, start)
-    if as_json:
-        payload = result.to_json()
-        payload["convention"] = group.convention.describe()
-        print(json.dumps(payload))
-    else:
-        print(_header(group))
-        print(result.to_text())
-    return 0
+        names = [format_normal(g) for g in ALL_ELEMENTS]
+        rows = [[names[i] for i in row] for row in group.mul_table.tolist()]
+        return ({**head, "table": {g: dict(zip(names, row))
+                                   for g, row in zip(names, rows)}},
+                "\n".join(f"{g} : {' | '.join(row)}"
+                          for g, row in zip(names, rows)))
+    rep = group.parity_table()
+    classes = {str(key): sorted(format_normal(g) for g in vals)
+               for key, vals in sorted(rep.values.items())}
+    payload = {
+        **head,
+        "all_constant": rep.all_constant,
+        "all_central": rep.all_central,
+        "has_nontrivial": rep.has_nontrivial,
+        "classes": classes,
+        "mismatches": [
+            {"class": str(k), "found": sorted(format_normal(g) for g in v),
+             "stated": format_normal(s)}
+            for k, v, s in rep.mismatches],
+    }
+    return payload, "\n".join([
+        "parity (i, j, k, l) -> values of w y^2 w^-1 y^-2",
+        *(f"  {key}: {', '.join(vals)}" for key, vals in classes.items()),
+        f"all classes constant: {rep.all_constant}",
+        f"all values central:   {rep.all_central}",
+        f"nontrivial value:     {rep.has_nontrivial}",
+        f"mismatches vs stated pattern: {len(rep.mismatches)}"])
 
 
 if __name__ == "__main__":

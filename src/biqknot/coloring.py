@@ -24,12 +24,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .biquandle import Biquandle, FCandidate, FKind, MissingF, make_f
+from .biquandle import (Biquandle, FCandidate, FKind, MissingF,
+                        _audit_candidate, make_f)
 from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
                       builtin_trefoil, classify)
 from .group_words import format_normal
 from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
-                          _element, _index)
+                          _index)
 
 
 class HasVirtualPasses(Exception):
@@ -67,10 +68,14 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
                       quandle_only: bool = False) -> ConstraintSet:
     """One relation per classical crossing and per virtual pass.
 
-    quandle_only forces 'circ' at every classical crossing (used by the
-    classical mode, where the crossing class is ignored).
+    quandle_only is the classical quandle mode: 'circ' at every classical
+    crossing, whatever its class, and no virtual passes allowed.
     """
-    if d.has_virtual() and bq.f is None and not quandle_only:
+    if quandle_only and d.has_virtual():
+        raise HasVirtualPasses(
+            f"diagram {d.name!r} has virtual passes; classical mode "
+            "colors classical diagrams only")
+    if d.has_virtual() and bq.f is None:
         raise MissingF(
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
@@ -377,16 +382,6 @@ def solve(d: LongDiagram, bq: Biquandle, start: GroupElement, *,
     return _as_result(d.name, raw, start, end, f_summary)
 
 
-def classical_color_count(d: LongDiagram, bq: Biquandle, start: GroupElement,
-                          *, end: Optional[GroupElement] = None,
-                          ) -> InvariantResult:
-    """Classical quandle mode: circ at every crossing, no virtual passes."""
-    if d.has_virtual():
-        raise HasVirtualPasses(
-            f"diagram {d.name!r} has virtual passes; use solve() instead")
-    return solve(d, bq, start, end=end, quandle_only=True)
-
-
 @dataclass(frozen=True)
 class DistinguishResult:
     verdict: str  # 'DISTINGUISHED' or 'INCONCLUSIVE'
@@ -462,20 +457,19 @@ def select_f_candidate(group: TorusGroup, n_twist: int = 2) -> FCandidate:
     chain's second virtual pass requires, and the patched explicit table
     is used, with the patch recorded on the candidate.
     """
-    for kind in (FKind.SUBSTITUTION, FKind.SHEAR):
-        cand = make_f(group, kind)
-        bq = Biquandle(group, n_twist).attach_f(cand)
-        if _reproduces_reference(bq):
-            return cand
+    bq = Biquandle(group, n_twist)
+    substitution = make_f(group, FKind.SUBSTITUTION)
+    if _reproduces_reference(bq.attach_f(substitution)):
+        return substitution
+    shear = make_f(group, FKind.SHEAR)
+    if _reproduces_reference(bq.attach_f(shear)):
+        return shear
     chain = reference_right_chain(group)
-    base = make_f(group, FKind.SUBSTITUTION)
-    mapping = {g: _element(int(base.table[_index(*g)])) for g in ALL_ELEMENTS}
-    mapping[chain[2]] = chain[3]   # the second virtual pass of the chain
-    patched = make_f(group, FKind.TABLE, table=mapping,
-                     name="substitution+chain-patch")
-    patched.patched_entries = ((chain[2], chain[3]),)
-    bq = Biquandle(group, n_twist).attach_f(patched)
-    if not _reproduces_reference(bq):
+    table = substitution.table.copy()
+    table[_index(*chain[2])] = _index(*chain[3])  # the chain's second virtual pass
+    patched = _audit_candidate(group, FKind.TABLE, "substitution+chain-patch",
+                               table, patched=((chain[2], chain[3]),))
+    if not _reproduces_reference(bq.attach_f(patched)):
         raise RuntimeError("no f candidate reproduces the reference chain")
     return patched
 

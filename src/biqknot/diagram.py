@@ -64,13 +64,6 @@ class LongDiagram:
         breaks = sum(1 for p in self.passes if p.kind is not PassKind.OVER)
         return breaks + 1
 
-    def classical_ids(self) -> List[str]:
-        seen = []
-        for p in self.passes:
-            if p.kind is PassKind.UNDER and p.crossing_id not in seen:
-                seen.append(p.crossing_id)
-        return seen
-
     def virtual_ids(self) -> List[str]:
         seen = []
         for p in self.passes:

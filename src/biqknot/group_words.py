@@ -119,11 +119,14 @@ def _parse_int(text: str, pos: int) -> Tuple[int, int]:
     if pos < len(text) and text[pos] == "-":
         pos += 1
     digits = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos].isdecimal():  # what int() accepts
         pos += 1
     if pos == digits:
         raise WordSyntaxError("expected an integer exponent", start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # past the interpreter's integer digit limit
+        raise WordSyntaxError("exponent has too many digits", start) from None
 
 
 def eval_word(expr: WordExpr, group: TorusGroup) -> GroupElement:

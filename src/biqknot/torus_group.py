@@ -358,11 +358,6 @@ class CalibrationResult:
     matches: List[Convention]
     reports: Dict[Convention, AnchorReport] = field(repr=False)
 
-    @property
-    def ambiguous(self) -> bool:
-        """Several variants reproduce the anchors; the first was frozen."""
-        return len(self.matches) > 1
-
 
 def all_conventions() -> List[Convention]:
     """Every variant, in deterministic enum order (seam twist innermost)."""

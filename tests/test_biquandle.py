@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from biqknot.biquandle import (
     from_group,
     make_f,
 )
+from biqknot.coloring import select_f_candidate
 from biqknot.group_words import eval_text
 from biqknot.torus_group import ALL_ELEMENTS, GroupElement, _index
 
@@ -275,3 +279,18 @@ def test_solve_indexes_list_every_solution(group, bq):
     for y in ALL_ELEMENTS:
         assert [ALL_ELEMENTS[i] for i in _row(pre, _index(*y))] == \
             list(f.preimages(y))
+
+
+def test_audit_text_golden(group):
+    # full reports pinned line by line: every verdict, and every failure's
+    # counterexample is the first mismatch in C order
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text())
+    candidates = {
+        "n=1 f=shear": (1, make_f(group, FKind.SHEAR)),
+        "n=2 f=calibrated": (2, select_f_candidate(group, 2)),
+        "n=3 f=substitution": (3, make_f(group, FKind.SUBSTITUTION)),
+    }
+    assert set(candidates) == set(golden["audit"])
+    for key, (n, cand) in candidates.items():
+        report = audit(Biquandle(group, n).attach_f(cand))
+        assert report.to_text().splitlines() == golden["audit"][key], key

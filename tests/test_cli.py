@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 from biqknot import coloring, torus_group
 from biqknot.cli import main
@@ -222,6 +224,13 @@ def test_deeply_nested_word_exit_code(capsys):
     assert "nested deeper" in err
 
 
+def test_oversized_exponent_exit_code(capsys):
+    code, out, err = run(capsys, "group", "eval", "a^" + "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "(offset 2)" in err
+
+
 def _chain600(tmp_path):
     body = " ".join(f"O{i}+ U{i}+" for i in range(1, 601))
     path = tmp_path / "chain.txt"
@@ -255,3 +264,17 @@ def test_directory_as_diagram_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "color", str(tmp_path), "--start", "a")
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_readme_commands_golden(capsys, tmp_path, monkeypatch):
+    # the README commands in both formats, pinned by exit code and a digest
+    # of stdout (byte for byte)
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_f.txt").write_text("".join(
+        f"{format_normal(g)}\t{format_normal(g)}\n" for g in ALL_ELEMENTS))
+    for case in golden["readme"]:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, err) == (case["exit"], ""), case["argv"]
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == case["stdout_sha256"]), case["argv"]

@@ -13,7 +13,6 @@ from biqknot.coloring import (
     HasVirtualPasses,
     VirtualRelation,
     build_constraints,
-    classical_color_count,
     distinguish,
     reference_right_chain,
     select_f_candidate,
@@ -151,14 +150,14 @@ def test_determinism(group, bq):
 
 def test_classical_mode(group, bq):
     with pytest.raises(HasVirtualPasses):
-        classical_color_count(builtin_trefoil("right"), bq, A)
+        solve(builtin_trefoil("right"), bq, A, quandle_only=True)
     empty = parse_diagram("longknot unknot\n")
-    assert classical_color_count(empty, bq, A).count == 1
+    assert solve(empty, bq, A, quandle_only=True).count == 1
     # early-under crossing still uses circ in classical mode
     d = parse_diagram("longknot classical\nU1+ O1+\n")
     cs = build_constraints(d, bq, quandle_only=True)
     assert all(r.op == "circ" for r in cs.relations)
-    r = classical_color_count(d, bq, A)
+    r = solve(d, bq, A, quandle_only=True)
     assert r.colorings == oracle.colorings(d, bq, A, quandle_only=True)
     for col in r.colorings:
         assert bq.circ(col[0], col[1]) == col[1]

@@ -119,3 +119,20 @@ def test_nesting_limit(group):
     with pytest.raises(WordSyntaxError) as exc:
         parse_word("(" * 1200 + "a" + ")" * 1200)
     assert exc.value.offset == MAX_NESTING  # the first parenthesis too deep
+
+
+def test_oversized_exponent_is_a_syntax_error(group):
+    # more digits than int() converts: a syntax error at the exponent
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("a^" + "9" * 5000)
+    assert exc.value.offset == 2
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("b ^ -" + "1" * 5000)
+    assert exc.value.offset == 4
+    # a long exponent below the limit still evaluates (99...9 = 7 mod 8)
+    assert (eval_text("a^" + "9" * 4000, group)
+            == group.power(group.generator_a, 7))
+    # a digit int() rejects ends the exponent instead of reaching int()
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("a^\u00b2")
+    assert exc.value.offset == 2
