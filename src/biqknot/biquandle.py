@@ -21,7 +21,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .group_words import format_normal
-from .torus_group import ALL_ELEMENTS, ORDER, GroupElement, TorusGroup, _element, _index
+from .torus_group import (ALL_ELEMENTS, GRID, ORDER, GroupElement, TorusGroup,
+                          _element, _index, _perm_powers)
 
 
 class MissingF(Exception):
@@ -129,11 +130,13 @@ def make_f(group: TorusGroup, kind: FKind,
     All defects are verdicts on the returned candidate, never errors.
     """
     if kind is FKind.SUBSTITUTION:
-        ab = group.mul(group.generator_a, group.generator_b)
-        arr = np.empty(ORDER, dtype=np.int64)
-        for g in ALL_ELEMENTS:
-            img = group.mul(group.power(ab, g.k), group.power(group.generator_b, g.l))
-            arr[_index(*g)] = _index(*img)
+        m = group.mul_table
+        ab = m[_index(*group.generator_a), _index(*group.generator_b)]
+        # column 0 of the powers of right multiplication by x: x^0 .. x^7
+        ab_pow = _perm_powers(m[:, ab])[:, 0]
+        b_pow = _perm_powers(m[:, _index(*group.generator_b)])[:, 0]
+        k, l = np.divmod(np.arange(ORDER), GRID)
+        arr = m[ab_pow[k], b_pow[l]].astype(np.int64)
         return _audit_candidate(group, kind, name or "substitution", arr)
     if kind is FKind.SHEAR:
         k, l = np.divmod(np.arange(ORDER), 8)

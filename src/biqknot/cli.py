@@ -85,14 +85,19 @@ def _load_f(group: TorusGroup, spec: Optional[str],
         path = spec[len("table:"):]
         mapping = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
                 src_text, dst_text = (line.split(" to ", 1)
                                       if " to " in line
                                       else _split_pair(line))
-                mapping[eval_text(src_text, group)] = eval_text(dst_text, group)
+                src = eval_text(src_text, group)
+                if src in mapping:
+                    raise ValueError(
+                        f"f-table line {lineno} maps {format_normal(src)} "
+                        "again; each source may be listed once")
+                mapping[src] = eval_text(dst_text, group)
         return bq_mod.make_f(group, bq_mod.FKind.TABLE, table=mapping,
                              name=f"table:{path}")
     raise ValueError(f"unknown f candidate {spec!r}")

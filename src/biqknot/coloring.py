@@ -27,17 +27,20 @@ import numpy as np
 from .biquandle import (Biquandle, FCandidate, FKind, MissingF,
                         _audit_candidate, make_f)
 from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
-                      builtin_trefoil, classify)
+                      builtin_trefoil)
 from .group_words import format_normal
 from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
                           _index)
+
+
+_UNDER, _VIRTUAL = PassKind.UNDER, PassKind.VIRTUAL
 
 
 class HasVirtualPasses(Exception):
     """Classical-only mode was asked to color a diagram with virtual passes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalRelation:
     crossing_id: str
     op: str                  # 'circ' or 'star'
@@ -46,7 +49,7 @@ class ClassicalRelation:
     over_arc: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualRelation:
     crossing_id: str
     visit: int               # 1 or 2, in traversal order
@@ -71,37 +74,33 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
     quandle_only is the classical quandle mode: 'circ' at every classical
     crossing, whatever its class, and no virtual passes allowed.
     """
-    if quandle_only and d.has_virtual():
+    assignment = arcs(d)
+    steps, classes = assignment.steps, assignment.classes
+    # every classical crossing has two passes; the rest are virtual
+    has_virtual = len(steps) > 2 * len(classes)
+    if quandle_only and has_virtual:
         raise HasVirtualPasses(
             f"diagram {d.name!r} has virtual passes; classical mode "
             "colors classical diagrams only")
-    if d.has_virtual() and bq.f is None:
+    if has_virtual and bq.f is None:
         raise MissingF(
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
-    cls = classify(d)
-    assignment = arcs(d)
+    over_arcs = assignment.over_arcs
+    ops = {CrossingClass.EARLY_OVER: "circ",
+           CrossingClass.EARLY_UNDER: "circ" if quandle_only else "star"}
     relations: List[Relation] = []
-    visits: Dict[str, int] = {}
-    for step in assignment.steps:
-        p = step.pass_
-        if p.kind is PassKind.UNDER:
-            if quandle_only:
-                op = "circ"
-            else:
-                op = ("circ" if cls[p.crossing_id] is CrossingClass.EARLY_OVER
-                      else "star")
+    visited = set()
+    for (kind, cid, _), in_arc, out_arc in steps:
+        if kind is _UNDER:
             relations.append(ClassicalRelation(
-                crossing_id=p.crossing_id, op=op,
-                in_arc=step.incoming_arc, out_arc=step.outgoing_arc,
-                over_arc=assignment.over_arc(p.crossing_id)))
-        elif p.kind is PassKind.VIRTUAL:
-            visit = visits.get(p.crossing_id, 0) + 1
-            visits[p.crossing_id] = visit
-            relations.append(VirtualRelation(
-                crossing_id=p.crossing_id, visit=visit,
-                direction="inv" if visit == 1 else "fwd",
-                in_arc=step.incoming_arc, out_arc=step.outgoing_arc))
+                cid, ops[classes[cid]], in_arc, out_arc, over_arcs[cid]))
+        elif kind is _VIRTUAL:
+            if cid in visited:
+                relations.append(VirtualRelation(cid, 2, "fwd", in_arc, out_arc))
+            else:
+                visited.add(cid)
+                relations.append(VirtualRelation(cid, 1, "inv", in_arc, out_arc))
     return ConstraintSet(relations=tuple(relations),
                          arc_count=assignment.arc_count)
 

@@ -5,9 +5,17 @@ The text format is one diagram per file::
     longknot <name>
     O2+ V1 U2+ O1+ V1 U1+     # passes in traversal order
 
-Tokens are "O<id><sign>" (over pass), "U<id><sign>" (under pass) and
-"V<id>" (virtual pass); '#' starts a comment.  Every classical crossing
-id must appear exactly once as O and once as U with equal signs; every
+'#' starts a comment that runs to the end of its line (any line break
+``str.splitlines`` knows).  Tokens are separated by ``str.isspace``
+whitespace.  The first two are the word ``longknot`` and the name (any
+token); every later token is one pass:
+
+    pass  = ("O" | "U") id ("+" | "-")     over / under pass
+          | "V" id                         virtual pass
+    id    = one or more Unicode letters or digits (``str.isalnum``; no "_")
+
+The letters O, U and V may be lower case.  Every classical crossing id
+must appear exactly once as O and once as U with equal signs; every
 virtual id exactly twice.  Classical and virtual ids are independent
 namespaces.  A new arc starts after every under pass and after every
 virtual pass, so arc count = unders + virtual passes + 1.
@@ -22,6 +30,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 _TOKEN = re.compile(r"\S+")
+# '#' up to, not including, the next line break of str.splitlines
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+# One pass token, as groups (O/U letter, id, sign); the letter and the
+# sign are None for a virtual pass.  [^\W_] is exactly str.isalnum.
+_PASS = re.compile(r"([OoUu])?(?(1)|[Vv])([^\W_]+)(?(1)([+-]))")
 
 
 class PassKind(Enum):
@@ -39,6 +52,11 @@ class Pass(NamedTuple):
 class CrossingClass(Enum):
     EARLY_OVER = "EarlyOver"
     EARLY_UNDER = "EarlyUnder"
+
+
+_OVER, _UNDER, _VIRTUAL = PassKind.OVER, PassKind.UNDER, PassKind.VIRTUAL
+_EARLY_OVER, _EARLY_UNDER = CrossingClass.EARLY_OVER, CrossingClass.EARLY_UNDER
+_KIND = {"O": _OVER, "o": _OVER, "U": _UNDER, "u": _UNDER, None: _VIRTUAL}
 
 
 class DiagramSyntaxError(ValueError):
@@ -76,80 +94,89 @@ class LongDiagram:
 
 
 def _check_pairing(passes: Tuple[Pass, ...]) -> None:
-    overs: Dict[str, Pass] = {}
-    unders: Dict[str, Pass] = {}
+    """Raise the first pairing error: a repeated pass in traversal order,
+    then lonely classical ids, a sign mismatch, a virtual id passed once."""
+    overs: Dict[str, str] = {}
+    unders: Dict[str, str] = {}
     virtuals: Dict[str, int] = {}
-    for p in passes:
-        if p.kind is PassKind.VIRTUAL:
-            virtuals[p.crossing_id] = virtuals.get(p.crossing_id, 0) + 1
-            if virtuals[p.crossing_id] > 2:
+    for kind, cid, sign in passes:
+        if kind is _OVER:
+            if cid in overs:
+                raise PairingError(f"crossing {cid!r} has two over passes")
+            overs[cid] = sign
+        elif kind is _UNDER:
+            if cid in unders:
+                raise PairingError(f"crossing {cid!r} has two under passes")
+            unders[cid] = sign
+        elif cid in virtuals:
+            if virtuals[cid] == 2:
                 raise PairingError(
-                    f"virtual crossing {p.crossing_id!r} passed more than twice")
-        elif p.kind is PassKind.OVER:
-            if p.crossing_id in overs:
-                raise PairingError(
-                    f"crossing {p.crossing_id!r} has two over passes")
-            overs[p.crossing_id] = p
+                    f"virtual crossing {cid!r} passed more than twice")
+            virtuals[cid] = 2
         else:
-            if p.crossing_id in unders:
-                raise PairingError(
-                    f"crossing {p.crossing_id!r} has two under passes")
-            unders[p.crossing_id] = p
-    if set(overs) != set(unders):
-        lonely = sorted(set(overs) ^ set(unders))
-        raise PairingError(
-            f"classical crossing(s) missing an over or under pass: {lonely}")
-    for cid, po in overs.items():
-        if po.sign != unders[cid].sign:
+            virtuals[cid] = 1
+    if overs != unders:
+        if overs.keys() != unders.keys():
+            lonely = sorted(overs.keys() ^ unders.keys())
             raise PairingError(
-                f"crossing {cid!r} has mismatched signs "
-                f"{po.sign!r} vs {unders[cid].sign!r}")
-    half = [cid for cid, cnt in virtuals.items() if cnt != 2]
-    if half:
+                f"classical crossing(s) missing an over or under pass: {lonely}")
+        cid = next(c for c, s in overs.items() if s != unders[c])
         raise PairingError(
-            f"virtual crossing(s) not passed exactly twice: {sorted(half)}")
+            f"crossing {cid!r} has mismatched signs "
+            f"{overs[cid]!r} vs {unders[cid]!r}")
+    if len(passes) - 2 * len(overs) != 2 * len(virtuals):
+        half = sorted(cid for cid, n in virtuals.items() if n != 2)
+        raise PairingError(
+            f"virtual crossing(s) not passed exactly twice: {half}")
 
 
 def parse_diagram(text: str) -> LongDiagram:
+    tokens = (_COMMENT.sub("", text) if "#" in text else text).split()
+    if len(tokens) >= 2 and tokens[0] == "longknot":
+        matches = list(map(_PASS.fullmatch, tokens[2:]))
+        if None not in matches:
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            passes = tuple([tuple.__new__(Pass, (_KIND[head], cid, sign))
+                            for head, cid, sign in map(re.Match.groups, matches)])
+            return LongDiagram(name=tokens[1], passes=passes)
+    raise _syntax_error(text)
+
+
+def _syntax_error(text: str) -> DiagramSyntaxError:
+    """The error of a text ``parse_diagram`` rejects, at its offset."""
     stripped = []
     for line in text.splitlines(keepends=True):
         body = line.split("#", 1)[0]
-        # keep byte offsets stable: pad stripped comments with spaces
+        # keep offsets stable: pad stripped comments with spaces
         stripped.append(body + " " * (len(line) - len(body)))
     flat = "".join(stripped)
-
     tokens = _tokenize(flat)
     if not tokens or tokens[0][0] != "longknot":
         pos = tokens[0][1] if tokens else 0
-        raise DiagramSyntaxError("expected header 'longknot <name>'", pos)
+        return DiagramSyntaxError("expected header 'longknot <name>'", pos)
     if len(tokens) < 2:
-        raise DiagramSyntaxError("missing diagram name", len(flat))
-    name = tokens[1][0]
-    passes = [_parse_pass(tok, pos) for tok, pos in tokens[2:]]
-    return LongDiagram(name=name, passes=tuple(passes))
+        return DiagramSyntaxError("missing diagram name", len(flat))
+    for tok, pos in tokens[2:]:
+        if _PASS.fullmatch(tok) is None:
+            return _pass_error(tok, pos)
+    raise AssertionError(f"no syntax error in {text!r}")
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
     return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
-def _parse_pass(tok: str, pos: int) -> Pass:
+def _pass_error(tok: str, pos: int) -> DiagramSyntaxError:
+    """Why ``tok``, which is not a pass token, is rejected."""
     head = tok[0].upper()
     if head not in ("O", "U", "V"):
-        raise DiagramSyntaxError(f"unknown pass token {tok!r}", pos)
+        return DiagramSyntaxError(f"unknown pass token {tok!r}", pos)
     if head == "V":
-        cid = tok[1:]
-        if not cid or not cid.isalnum():
-            raise DiagramSyntaxError(f"bad virtual token {tok!r}", pos)
-        return Pass(PassKind.VIRTUAL, cid, None)
+        return DiagramSyntaxError(f"bad virtual token {tok!r}", pos)
     if len(tok) < 3 or tok[-1] not in "+-":
-        raise DiagramSyntaxError(
+        return DiagramSyntaxError(
             f"classical token {tok!r} needs a trailing sign", pos)
-    cid = tok[1:-1]
-    if not cid or not cid.isalnum():
-        raise DiagramSyntaxError(f"bad crossing id in {tok!r}", pos)
-    kind = PassKind.OVER if head == "O" else PassKind.UNDER
-    return Pass(kind, cid, tok[-1])
+    return DiagramSyntaxError(f"bad crossing id in {tok!r}", pos)
 
 
 def serialize(d: LongDiagram) -> str:
@@ -165,14 +192,7 @@ def serialize(d: LongDiagram) -> str:
 
 def classify(d: LongDiagram) -> Dict[str, CrossingClass]:
     """EarlyOver iff the over pass precedes the under pass in traversal."""
-    out: Dict[str, CrossingClass] = {}
-    for p in d.passes:
-        if p.kind is PassKind.VIRTUAL or p.crossing_id in out:
-            continue
-        out[p.crossing_id] = (CrossingClass.EARLY_OVER
-                              if p.kind is PassKind.OVER
-                              else CrossingClass.EARLY_UNDER)
-    return out
+    return arcs(d).classes
 
 
 class ArcStep(NamedTuple):
@@ -183,32 +203,38 @@ class ArcStep(NamedTuple):
 
 @dataclass(frozen=True)
 class ArcAssignment:
+    """The arcs of a diagram's passes, and per classical crossing id the
+    arc of its over pass and its class; made by ``arcs``."""
+
     steps: Tuple[ArcStep, ...]
     arc_count: int
-    _over_arcs: Dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # crossing id -> arc of its (first, hence reversed) over pass
-        over_arcs = {s.pass_.crossing_id: s.incoming_arc
-                     for s in reversed(self.steps)
-                     if s.pass_.kind is PassKind.OVER}
-        object.__setattr__(self, "_over_arcs", over_arcs)
+    over_arcs: Dict[str, int] = field(repr=False, compare=False)
+    classes: Dict[str, CrossingClass] = field(repr=False, compare=False)
 
     def over_arc(self, crossing_id: str) -> int:
-        return self._over_arcs[crossing_id]
+        return self.over_arcs[crossing_id]
 
 
 def arcs(d: LongDiagram) -> ArcAssignment:
     """Sequential arc indices 1..m; a new arc starts after U and V passes."""
     arc = 1
     steps = []
+    over_arcs: Dict[str, int] = {}
+    classes: Dict[str, CrossingClass] = {}
     for p in d.passes:
-        if p.kind is PassKind.OVER:
-            steps.append(ArcStep(p, arc, arc))
+        kind, cid, _ = p
+        if kind is _OVER:
+            steps.append(tuple.__new__(ArcStep, (p, arc, arc)))
+            over_arcs[cid] = arc
+            if cid not in classes:
+                classes[cid] = _EARLY_OVER
         else:
-            steps.append(ArcStep(p, arc, arc + 1))
+            steps.append(tuple.__new__(ArcStep, (p, arc, arc + 1)))
             arc += 1
-    return ArcAssignment(steps=tuple(steps), arc_count=arc)
+            if kind is _UNDER and cid not in classes:
+                classes[cid] = _EARLY_UNDER
+    return ArcAssignment(steps=tuple(steps), arc_count=arc,
+                         over_arcs=over_arcs, classes=classes)
 
 
 # -- builtin diagrams ----------------------------------------------------------

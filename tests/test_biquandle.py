@@ -15,7 +15,8 @@ from biqknot.biquandle import (
 )
 from biqknot.coloring import select_f_candidate
 from biqknot.group_words import eval_text
-from biqknot.torus_group import ALL_ELEMENTS, GroupElement, _index
+from biqknot.torus_group import (ALL_ELEMENTS, GroupElement, _index,
+                                 all_conventions, build_group)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,18 @@ def test_substitution_candidate_verdicts(group):
     assert cand(GroupElement(0, 1)) == GroupElement(0, 1)
     # image is the 16 elements (ab)^k b^l
     assert len({tuple(cand(g)) for g in ALL_ELEMENTS}) == 16
+
+
+def test_substitution_table_is_the_word_map():
+    # a^k b^l -> (ab)^k b^l, element by element, on every convention's group
+    for conv in all_conventions():
+        g = build_group(conv)
+        ab, b = g.mul(g.generator_a, g.generator_b), g.generator_b
+        expected = [_index(*g.mul(g.power(ab, x.k), g.power(b, x.l)))
+                    for x in ALL_ELEMENTS]
+        table = make_f(g, FKind.SUBSTITUTION).table
+        assert table.dtype == np.int64
+        assert table.tolist() == expected, conv.describe()
 
 
 def test_substitution_witnesses_check_out(group):

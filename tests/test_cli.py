@@ -118,6 +118,17 @@ def test_audit_f_table_to_separator(capsys, tmp_path):
     assert "f-equivariance-circ domain=4096 FAIL" in out
 
 
+def test_audit_f_table_duplicate_source(capsys, tmp_path):
+    # the identity table plus a second image of b: rejected, not audited
+    path = tmp_path / "dup.txt"
+    lines = [f"{format_normal(g)}\t{format_normal(g)}" for g in ALL_ELEMENTS]
+    path.write_text("\n".join(lines + ["a\tb"]) + "\n")
+    code, out, err = run(capsys, "audit", "--f", f"table:{path}")
+    assert code == 2
+    assert out == ""
+    assert "f-table line 65 maps a again" in err
+
+
 def test_audit_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "audit", "--n", "1",
                        "--f", "shear")

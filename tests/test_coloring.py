@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import random
 import time
@@ -18,8 +19,8 @@ from biqknot.coloring import (
     select_f_candidate,
     solve,
 )
-from biqknot.diagram import (LongDiagram, Pass, PassKind, builtin_trefoil,
-                             parse_diagram)
+from biqknot.diagram import (LongDiagram, Pass, PassKind, arcs,
+                             builtin_trefoil, classify, parse_diagram)
 from biqknot.group_words import eval_text
 from biqknot.torus_group import ALL_ELEMENTS, GroupElement
 from conftest import make_random_diagram
@@ -273,6 +274,38 @@ def test_r1_kinks_match_oracle(group, bq, kink):
                 start = ALL_ELEMENTS[rng.randrange(64)]
                 assert solve(d, b, start, end=end).colorings == \
                     oracle.colorings(d, b, start, end=end), f"disagree on {d}"
+
+
+def test_constraints_match_reference(bq):
+    # arcs, classify and build_constraints against the walk-per-map
+    # reference: early-under crossings, virtual passes and R1 kinks
+    rng = random.Random(8)
+    kinks = [parse_diagram(f"longknot k\n{k}\n").passes
+             for k in ("U8+ O8+", "O9- U9-", "V9 V9")]
+    for i in range(300):
+        d = make_random_diagram(rng, max_classical=6, max_virtual=3,
+                                max_breaks=12)
+        for kink in rng.sample(kinks, rng.randint(0, 3)):
+            pos = rng.randint(0, len(d.passes))
+            d = LongDiagram(name=d.name,
+                            passes=d.passes[:pos] + kink + d.passes[pos:])
+        asg = arcs(d)
+        steps, arc_count, over_arcs = oracle.arcs(d)
+        assert asg.steps == steps and asg.arc_count == arc_count
+        assert asg.over_arcs == over_arcs
+        assert asg.classes == classify(d) == oracle.classify(d)
+        for quandle_only in (False, True):
+            try:
+                expected = oracle.constraints(d, quandle_only=quandle_only)
+            except HasVirtualPasses:
+                with pytest.raises(HasVirtualPasses):
+                    build_constraints(d, bq, quandle_only=quandle_only)
+                continue
+            cs = build_constraints(d, bq, quandle_only=quandle_only)
+            relations, arc_count = expected
+            assert cs.arc_count == arc_count
+            assert ([(type(r), dataclasses.astuple(r)) for r in cs.relations]
+                    == [(type(r), dataclasses.astuple(r)) for r in relations])
 
 
 def _early_over_chain(rng, crossings):

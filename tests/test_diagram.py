@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
 
 from biqknot.diagram import (
     CrossingClass,
@@ -166,3 +169,60 @@ def test_tokenize_offsets_with_tabs_crlf_and_comments():
             parse_diagram(text)
         assert err.value.offset == offset, repr(text)
         assert text[offset:].split()[0] == token
+
+
+# ids mix ASCII and Arabic-Indic digits, a superscript digit (str.isalnum
+# but not str.isdecimal), letters and the '_' the grammar refuses
+_ID_CHARS = "07\u0663\u00b2x\u00e9"
+_SEPARATORS = [" ", "\t", "\r\n", "\n", "\x0b", "\x1c", "\u2028", "  ",
+               " # c\n", "#O1+\x1c", "\t#\u2028"]
+_OTHER_SIGN = str.maketrans("+-", "-+")
+_ALPHABET = "OoUuVv" + _ID_CHARS + "_+-#" + " \t\r\n\x0b\x1c\u2028"
+
+
+@st.composite
+def _diagram_texts(draw):
+    if draw(st.booleans()):
+        # arbitrary text over the token alphabet, after a likely header
+        head = draw(st.sampled_from(["", "longknot", "longknot d ",
+                                     "longknot #c\n d ", "LONGKNOT d "]))
+        return head + draw(st.text(_ALPHABET, max_size=30))
+    # a pairing-valid pass sequence, sometimes with one token replaced
+    ids = st.text(st.sampled_from(_ID_CHARS + "_"), min_size=1, max_size=2)
+    toks = []
+    for cid in draw(st.lists(ids, max_size=4, unique=True)):
+        sign = draw(st.sampled_from("+-"))
+        toks += [draw(st.sampled_from("Oo")) + cid + sign,
+                 draw(st.sampled_from("Uu")) + cid + sign]
+    for vid in draw(st.lists(ids, max_size=2, unique=True)):
+        toks += [draw(st.sampled_from("Vv")) + vid for _ in range(2)]
+    toks = draw(st.permutations(toks))
+    if toks and draw(st.booleans()):
+        # any text, a repeat of another pass, or the other sign
+        i = draw(st.integers(0, len(toks) - 1))
+        toks[i] = draw(st.one_of(st.text(_ALPHABET, min_size=1, max_size=4),
+                                 st.sampled_from(toks),
+                                 st.just(toks[i].translate(_OTHER_SIGN))))
+    sep = st.sampled_from(_SEPARATORS)
+    return "".join(t + draw(sep) for t in ["longknot", "d", *toks])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (DiagramSyntaxError, PairingError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_diagram_texts())
+def test_parser_matches_reference(text):
+    def tuned(t):
+        d = parse_diagram(t)
+        assert all(type(p) is Pass for p in d.passes)
+        return d.name, d.passes
+    got = _outcome(tuned, text)
+    assert got == _outcome(oracle.parse_diagram, text)
+    if not isinstance(got[0], type):
+        d = parse_diagram(text)
+        assert parse_diagram(serialize(d)) == d
