@@ -28,7 +28,7 @@ from .biquandle import (Biquandle, FCandidate, FKind, MissingF,
                         _audit_candidate, make_f)
 from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
                       builtin_trefoil)
-from .group_words import format_normal
+from .group_words import eval_text, format_normal
 from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
                           _index)
 
@@ -149,9 +149,10 @@ class InvariantResult:
 
 # -- frontier solver -------------------------------------------------------------
 
-# No expansion makes more than ROW_CAP rows: its input is split first, and
-# the pieces wait on an explicit stack.  (A single row's fan-out, at most
-# 64, is the unit when ROW_CAP is smaller.)
+# No expansion makes more than ROW_CAP rows: its input is halved first, and
+# the halves wait on an explicit stack, to be halved again if still too
+# large.  (A single row's fan-out, at most 64, is the unit when ROW_CAP is
+# smaller.)
 ROW_CAP = 1 << 14
 
 # Plan steps, over per-arc columns of all rows:
@@ -303,7 +304,7 @@ def _execute(steps: List[tuple], first: List[Optional[np.ndarray]],
 def _expand(step: tuple, cols: List[Optional[np.ndarray]], i: int,
             stack: List[tuple]) -> Optional[List[Optional[np.ndarray]]]:
     """Give each row one copy per index entry; return None after pushing
-    the pieces of an input that would expand beyond ROW_CAP rows."""
+    the halves of an input that would expand beyond ROW_CAP rows."""
     _, target, (indptr, values), x, y = step
     rows = len(cols[1])
     if x is None:
@@ -317,16 +318,9 @@ def _expand(step: tuple, cols: List[Optional[np.ndarray]], i: int,
     ends = np.cumsum(counts)
     total = int(ends[-1])
     if total > ROW_CAP and rows > 1:
-        cuts, start = [], 0
-        while start < rows:
-            stop = max(int(np.searchsorted(ends, ends[start] - counts[start]
-                                           + ROW_CAP, side="right")),
-                       start + 1)
-            cuts.append((start, stop))
-            start = stop
-        for start, stop in reversed(cuts):
-            stack.append((i, [None if c is None else c[start:stop]
-                              for c in cols]))
+        half = rows // 2
+        for piece in (slice(half, None), slice(None, half)):
+            stack.append((i, [None if c is None else c[piece] for c in cols]))
         return None
     if total == rows and (counts == 1).all():
         cols[target] = values[lo]
@@ -420,55 +414,36 @@ def distinguish(d1: LongDiagram, d2: LongDiagram, bq: Biquandle,
 # -- calibrated f selection ------------------------------------------------------
 
 
+# The right-trefoil arc chain, as written in the paper.
+_REFERENCE_CHAIN = ("a", "a b^-1", "a^2 b^-1 a^-1", "(ab)^2 a^-1", "a b^2")
+
+
 def reference_right_chain(group: TorusGroup) -> Tuple[GroupElement, ...]:
-    """The right-trefoil arc chain all conventions are calibrated against:
-    (a, a b^-1, a^2 b^-1 a^-1, (ab)^2 a^-1, a b^2)."""
-    a, b = group.generator_a, group.generator_b
-    ab = group.mul(a, b)
-    return (
-        a,
-        group.mul(a, group.inv(b)),
-        group.mul(group.mul(group.power(a, 2), group.inv(b)), group.inv(a)),
-        group.mul(group.power(ab, 2), group.inv(a)),
-        group.mul(a, group.power(b, 2)),
-    )
-
-
-def _reproduces_reference(bq: Biquandle) -> bool:
-    group = bq.group
-    chain = reference_right_chain(group)
-    right = builtin_trefoil("right")
-    left = builtin_trefoil("left")
-    r = solve(right, bq, chain[0])
-    if chain not in r.colorings:
-        return False
-    pinned = solve(left, bq, chain[0], end=chain[-1])
-    return pinned.count == 0
+    """The right-trefoil arc chain all conventions are calibrated against."""
+    return tuple(eval_text(word, group) for word in _REFERENCE_CHAIN)
 
 
 def select_f_candidate(group: TorusGroup, n_twist: int = 2) -> FCandidate:
-    """Pick the f candidate that reproduces the reference trefoil chain.
+    """The calibrated f: the substitution table patched at the one entry
+    the reference chain's second virtual pass needs, f(chain[2]) = chain[3].
 
-    The total substitution and shear candidates are tried first.  When
-    neither reproduces the chain (the substitution map cannot, because
-    ab has order 4, so its image misses the chain's fourth arc value),
-    the substitution table is patched at the single entry the reference
-    chain's second virtual pass requires, and the patched explicit table
-    is used, with the patch recorded on the candidate.
+    It is built, not searched for: neither total candidate reproduces the
+    chain.  The substitution map a^k b^l -> (ab)^k b^l takes only 16
+    values, since ab has order 4, and chain[3] is not one of them; the
+    shear keeps the a-exponent, which the chain changes from 3 to 7.
+    The patch reproduces the paper's trefoil result; it is not an
+    invariant (it is neither bijective nor multiplicative, and breaks
+    virtual R1).  Raises RuntimeError unless the right trefoil admits the
+    chain and the left trefoil, pinned to the chain's end, has no coloring.
     """
-    bq = Biquandle(group, n_twist)
-    substitution = make_f(group, FKind.SUBSTITUTION)
-    if _reproduces_reference(bq.attach_f(substitution)):
-        return substitution
-    shear = make_f(group, FKind.SHEAR)
-    if _reproduces_reference(bq.attach_f(shear)):
-        return shear
     chain = reference_right_chain(group)
-    table = substitution.table.copy()
-    table[_index(*chain[2])] = _index(*chain[3])  # the chain's second virtual pass
+    table = make_f(group, FKind.SUBSTITUTION).table.copy()
+    table[_index(*chain[2])] = _index(*chain[3])
     patched = _audit_candidate(group, FKind.TABLE, "substitution+chain-patch",
                                table, patched=((chain[2], chain[3]),))
-    if not _reproduces_reference(bq.attach_f(patched)):
+    bq = Biquandle(group, n_twist).attach_f(patched)
+    if (chain not in solve(builtin_trefoil("right"), bq, chain[0]).colorings
+            or solve(builtin_trefoil("left"), bq, chain[0], end=chain[-1]).count):
         raise RuntimeError("no f candidate reproduces the reference chain")
     return patched
 

@@ -144,12 +144,8 @@ def parse_diagram(text: str) -> LongDiagram:
 
 def _syntax_error(text: str) -> DiagramSyntaxError:
     """The error of a text ``parse_diagram`` rejects, at its offset."""
-    stripped = []
-    for line in text.splitlines(keepends=True):
-        body = line.split("#", 1)[0]
-        # keep offsets stable: pad stripped comments with spaces
-        stripped.append(body + " " * (len(line) - len(body)))
-    flat = "".join(stripped)
+    # blank out comments with spaces, so offsets stay those of the text
+    flat = _COMMENT.sub(lambda m: " " * len(m.group()), text)
     tokens = _tokenize(flat)
     if not tokens or tokens[0][0] != "longknot":
         pos = tokens[0][1] if tokens else 0

@@ -15,9 +15,10 @@ most MAX_NESTING deep, well inside Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
-from .torus_group import GroupElement, TorusGroup
+if TYPE_CHECKING:  # torus_group evaluates its anchor words with eval_text
+    from .torus_group import GroupElement, TorusGroup
 
 MAX_NESTING = 200
 

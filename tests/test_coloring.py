@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import inspect
 import random
 import time
@@ -22,7 +23,8 @@ from biqknot.coloring import (
 from biqknot.diagram import (LongDiagram, Pass, PassKind, arcs,
                              builtin_trefoil, classify, parse_diagram)
 from biqknot.group_words import eval_text
-from biqknot.torus_group import ALL_ELEMENTS, GroupElement
+from biqknot.torus_group import (ALL_ELEMENTS, Convention, GroupElement,
+                                 all_conventions, build_group)
 from conftest import make_random_diagram
 
 A = GroupElement(1, 0)
@@ -75,6 +77,8 @@ def test_right_trefoil_reference_chain(group, bq):
         eval_text("(ab)^2 a^-1", group),
         eval_text("a b^2", group),
     )
+    assert chain == (A, GroupElement(1, 7), GroupElement(3, 5),
+                     GroupElement(7, 4), AB2)
     r = solve(builtin_trefoil("right"), bq, A)
     assert r.colorings == oracle.colorings(builtin_trefoil("right"), bq, A)
     assert chain in r.colorings
@@ -400,20 +404,28 @@ def test_coloring_does_not_recurse():
     assert all(acyclic_from(name) for name in graph if name not in state)
 
 
-def test_f_candidate_selection(group):
-    cand = select_f_candidate(group)
-    assert cand.kind is FKind.TABLE
-    assert cand.patched_entries == (
-        (GroupElement(3, 5), GroupElement(7, 4)),)
-    # outside the patch it is the substitution map
-    sub = make_f(group, FKind.SUBSTITUTION)
-    diffs = [g for g in ALL_ELEMENTS if cand(g) != sub(g)]
-    assert diffs == [GroupElement(3, 5)]
+_cached_group = functools.cache(build_group)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("conv", all_conventions(), ids=Convention.describe)
+def test_f_candidate_selection(conv, n):
+    # every twist residue (elements have order <= 8) under every convention
+    group = _cached_group(conv)
+    chain = reference_right_chain(group)
     # total candidates do not reproduce the reference chain
     for kind in (FKind.SUBSTITUTION, FKind.SHEAR):
-        b = Biquandle(group, 2).attach_f(make_f(group, kind))
-        r = solve(builtin_trefoil("right"), b, A)
-        assert reference_right_chain(group) not in r.colorings
+        b = Biquandle(group, n).attach_f(make_f(group, kind))
+        r = solve(builtin_trefoil("right"), b, chain[0])
+        assert chain not in r.colorings
+    # the calibrated f is the substitution map with the one-entry patch
+    cand = select_f_candidate(group, n)
+    assert cand.kind is FKind.TABLE
+    assert cand.name == "substitution+chain-patch"
+    assert cand.patched_entries == ((chain[2], chain[3]),)
+    sub = make_f(group, FKind.SUBSTITUTION)
+    diffs = [g for g in ALL_ELEMENTS if cand(g) != sub(g)]
+    assert diffs == [chain[2]]
 
 
 def test_result_serialization(group, bq):
