@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biqknot.group_words import (
     MAX_NESTING,
@@ -136,3 +137,57 @@ def test_oversized_exponent_is_a_syntax_error(group):
     with pytest.raises(WordSyntaxError) as exc:
         parse_word("a^\u00b2")
     assert exc.value.offset == 2
+
+
+# decimal digits int() accepts (ASCII, Arabic-Indic, fullwidth) and a
+# superscript digit it refuses (str.isdigit but not str.isdecimal)
+_DIGITS = "07\u0663\uff19\u00b2"
+# whitespace str.isspace accepts, ASCII and not
+_SPACES = ["", " ", "\t", "\r\n", "\x0b", "\x1c", "\xa0", "\u2028", "\u3000"]
+_WORD_ALPHABET = "abe()^-$" + _DIGITS + "".join(_SPACES)
+
+
+def _draw_word(draw, depth):
+    """A well-formed word: 1-3 factors, parenthesised at most 3 deep."""
+    space = st.sampled_from(_SPACES)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth < 3 and draw(st.booleans()):
+            base = "(" + _draw_word(draw, depth + 1) + draw(space) + ")"
+        else:
+            base = draw(st.sampled_from("abe"))
+        if draw(st.booleans()):
+            digits = draw(st.text(st.sampled_from(_DIGITS[:-1]),
+                                  min_size=1, max_size=3))
+            base += (draw(space) + "^" + draw(space)
+                     + draw(st.sampled_from(["", "-"])) + digits)
+        factors.append(draw(space) + base)
+    return "".join(factors)
+
+
+@st.composite
+def _word_texts(draw):
+    """(text, well_formed): arbitrary text over the word alphabet, or a
+    well-formed word with at most one character replaced or deleted."""
+    if draw(st.booleans()):
+        return draw(st.text(_WORD_ALPHABET, max_size=30)), False
+    text = _draw_word(draw, 0) + draw(st.sampled_from(_SPACES))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        repl = draw(st.one_of(st.just(""), st.sampled_from(_WORD_ALPHABET)))
+        return text[:i] + repl + text[i + 1:], False
+    return text, True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_word_texts())
+def test_parse_word_raises_only_syntax_errors(group, case):
+    text, well_formed = case
+    try:
+        expr = parse_word(text)
+    except WordSyntaxError as exc:
+        assert not well_formed, repr(text)
+        assert 0 <= exc.offset <= len(text)
+        return
+    g = eval_word(expr, group)
+    assert eval_text(format_normal(g), group) == g

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from biqknot import torus_group
+from biqknot.group_words import eval_text
 from biqknot.torus_group import (
     ALL_ELEMENTS,
     ORDER,
@@ -16,8 +18,11 @@ from biqknot.torus_group import (
     SeamTwist,
     TorusGroup,
     Vertex,
+    _anchors,
+    _group_table,
     _index,
     _stated_parity_value,
+    _verify_group,
     all_conventions,
     build_group,
     calibrate_convention,
@@ -213,6 +218,8 @@ def test_every_convention_matches_closed_form_law(conv):
     expected = np.array([[_index(*twisted_law(x, y, twist)) for y in ALL_ELEMENTS]
                          for x in ALL_ELEMENTS])
     assert np.array_equal(g.mul_table, expected)
+    assert g.mul_table.dtype == np.int64   # verification reads a uint8 copy
+    assert eval_text("b^-2", g) == GroupElement(0, 6)
     ar = np.arange(ORDER)
     assert np.array_equal(g.mul_table[ar, g.inv_table], np.zeros(ORDER))
 
@@ -262,3 +269,123 @@ def test_parity_report_matches_loop(group):
         rep = g.parity_table()
         assert rep == _parity_report_by_loop(g)
         assert list(rep.values) == sorted(rep.values)
+
+
+# -- calibration: one verification per distinct table --------------------------
+
+
+def _calibrate_per_variant():
+    """Reference sweep: build, verify and anchor every variant separately."""
+    reports, matches = {}, []
+    for conv in all_conventions():
+        try:
+            rep = _anchors(build_group(conv))
+        except ConventionInconsistent:
+            continue
+        reports[conv] = rep
+        if rep.matches:
+            matches.append(conv)
+    return matches, reports
+
+
+def test_calibration_equals_per_variant_reference():
+    matches, reports = _calibrate_per_variant()
+    cal = calibrate_convention()
+    assert cal.convention == matches[0]
+    assert cal.matches == matches
+    assert list(cal.reports) == list(reports)
+    assert len(cal.reports) == 16
+    for conv, rep in reports.items():
+        assert cal.reports[conv] == rep, conv.describe()
+
+
+def test_calibration_verifies_each_distinct_table_once(monkeypatch):
+    distinct = {_group_table(conv)[0].tobytes() for conv in all_conventions()}
+    assert len(distinct) == 2
+    calls = []
+
+    def spy(table, convention):
+        calls.append(table.tobytes())
+        return _verify_group(table, convention)
+
+    monkeypatch.setattr(torus_group, "_verify_group", spy)
+    calibrate_convention()
+    assert sorted(calls) == sorted(distinct)
+
+
+def _cyclic_table():
+    """Z/64 with element i at index i: a group in which b has order 64."""
+    ar = np.arange(ORDER)
+    return (ar[:, None] + ar[None, :]) % ORDER
+
+
+def _loop_table():
+    """Z/64 with one intercalate swapped: a Latin square with identity 0
+    that is not associative."""
+    t = _cyclic_table()
+    t[[1, 1, 33, 33], [2, 34, 2, 34]] = t[[1, 1, 33, 33], [34, 2, 34, 2]]
+    return t
+
+
+def test_calibration_skips_a_variant_that_fails_verification(monkeypatch):
+    _, reports = _calibrate_per_variant()
+    broken = Convention(CompositionOrder.FUNCTION, RowPhase.EVEN_LEFT,
+                        ColPhase.EVEN_UP, SeamTwist.CENTRAL_B4)
+
+    def patched(conv):
+        table, vertex_of = _group_table(conv)
+        return (_loop_table(), vertex_of) if conv == broken else (table, vertex_of)
+
+    monkeypatch.setattr(torus_group, "_group_table", patched)
+    cal = calibrate_convention()
+    assert broken not in cal.reports
+    del reports[broken]
+    assert cal.reports == reports
+    assert list(cal.reports) == list(reports)
+    assert cal.convention == Convention()
+    assert broken not in cal.matches and len(cal.matches) == 7
+
+
+# -- _verify_group rejections ----------------------------------------------------
+
+
+def _rejection(table):
+    with pytest.raises(ConventionInconsistent) as err:
+        _verify_group(table, Convention())
+    return str(err.value)
+
+
+def test_verify_rejects_a_non_neutral_identity(group):
+    t = group.mul_table.copy()
+    t[[0, 1]] = t[[1, 0]]           # still a Latin square
+    assert _rejection(t) == "identity is not two-sided neutral"
+
+
+def test_verify_rejects_non_permutation_translations(group):
+    t = group.mul_table.copy()
+    t[5, 6] = t[5, 7]
+    assert _rejection(t) == "translations are not permutations"
+    t = group.mul_table.copy()
+    t[5, 6] += 256                  # out of range, but equal after a uint8 cast
+    assert _rejection(t) == "translations are not permutations"
+
+
+def _first_non_associative_triple(t):
+    """int64 oracle: the lexicographically first (i, j, k), (ij)k != i(jk)."""
+    for i in range(ORDER):
+        bad = np.argwhere(t[t[i]] != t[i][t])
+        if len(bad):
+            return (i, *(int(x) for x in bad[0]))
+    return None
+
+
+def test_verify_rejects_non_associativity_with_first_witness():
+    t = _loop_table()
+    witness = _first_non_associative_triple(t)
+    assert witness is not None
+    assert _rejection(t) == f"associativity fails at triple {witness}"
+
+
+def test_verify_rejects_a_generator_of_wrong_order():
+    assert _rejection(_cyclic_table()) == (
+        f"generator order 64 != 8 under {Convention().describe()}")
