@@ -68,6 +68,8 @@ class FCandidate:
     patched_entries: Tuple[Tuple[GroupElement, GroupElement], ...] = ()
     _preimage_index: Optional[Index] = field(default=None, init=False,
                                              repr=False, compare=False)
+    _flat_table: Optional[bytes] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return _element(int(self.table[_index(*x)]))
@@ -81,6 +83,12 @@ class FCandidate:
         if self._preimage_index is None:
             self._preimage_index = _csr(self.table, np.arange(ORDER), ORDER)
         return self._preimage_index
+
+    def flat_table(self) -> bytes:
+        """``table`` as bytes, for lookups by Python int (built once)."""
+        if self._flat_table is None:
+            self._flat_table = self.table.astype(np.uint8).tobytes()
+        return self._flat_table
 
     def summary(self) -> str:
         bits = [self.name,
@@ -182,6 +190,7 @@ class Biquandle:
         self.star_div_table = _solve_division(self.star_table)
         self.f: Optional[FCandidate] = None
         self._solve_indexes: Dict[OpName, SolveIndexes] = {}
+        self._flat_tables: Dict[OpName, bytes] = {}
 
     def _conjugation_table(self, power: int) -> np.ndarray:
         """t[x, y] = y^p x y^-p, with y^p by square-and-multiply on all y."""
@@ -207,6 +216,13 @@ class Biquandle:
                 fixed=_csr(fx, fy, ORDER),
                 diagonal=_csr(t[ar, ar], ar, ORDER))
         return self._solve_indexes[which]
+
+    def flat_table(self, which: OpName) -> bytes:
+        """One table as bytes, entry x * 64 + y, for lookups by Python int
+        (built once)."""
+        if which not in self._flat_tables:
+            self._flat_tables[which] = self._table(which).astype(np.uint8).tobytes()
+        return self._flat_tables[which]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
         self.f = candidate

@@ -27,9 +27,9 @@ from typing import Dict, Optional, Tuple
 from . import biquandle as bq_mod
 from . import coloring as col_mod
 from .diagram import LongDiagram, builtin_trefoil, parse_diagram
-from .group_words import eval_text, format_normal
-from .torus_group import (ALL_ELEMENTS, NoConventionMatches, TorusGroup,
-                          build_default_group, calibrate_convention)
+from .group_words import WordSyntaxError, eval_text, format_normal
+from .torus_group import (ALL_ELEMENTS, GroupElement, NoConventionMatches,
+                          TorusGroup, build_default_group, calibrate_convention)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,18 +89,31 @@ def _load_f(group: TorusGroup, spec: Optional[str],
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                src_text, dst_text = (line.split(" to ", 1)
-                                      if " to " in line
-                                      else _split_pair(line))
-                src = eval_text(src_text, group)
+                try:
+                    src, dst = _f_table_pair(line, group)
+                except ValueError as exc:
+                    raise ValueError(f"f-table line {lineno}: {exc}") from None
                 if src in mapping:
                     raise ValueError(
                         f"f-table line {lineno} maps {format_normal(src)} "
                         "again; each source may be listed once")
-                mapping[src] = eval_text(dst_text, group)
+                mapping[src] = dst
         return bq_mod.make_f(group, bq_mod.FKind.TABLE, table=mapping,
                              name=f"table:{path}")
     raise ValueError(f"unknown f candidate {spec!r}")
+
+
+def _f_table_pair(line: str, group: TorusGroup) -> Tuple[GroupElement, ...]:
+    """The source and image of one f-table line; a word error names its
+    half."""
+    halves = line.split(" to ", 1) if " to " in line else _split_pair(line)
+    pair = []
+    for half, text in zip(("source", "image"), halves):
+        try:
+            pair.append(eval_text(text, group))
+        except WordSyntaxError as exc:
+            raise ValueError(f"{half} {text!r}: {exc}") from None
+    return tuple(pair)
 
 
 def _split_pair(line: str):
@@ -117,7 +130,7 @@ def _split_pair(line: str):
     if len(parts) == 2:
         return parts[0], parts[1]
     raise ValueError(
-        f"cannot split f-table line {line!r}; separate the two normal "
+        f"cannot split {line!r}; separate the two normal "
         "forms with a tab or two spaces")
 
 

@@ -12,15 +12,20 @@ from which arcs are known: checks, ``circ``/``star`` forward, the right
 division backward and f forward come first; when none applies, one
 relation branches through a precomputed index (f preimages, or every
 over-arc color y with t[x, y] = z), and guessing all 64 colors of an
-over arc is the last resort.  The plan then runs on per-arc integer
-columns over all partial colorings at once, in pieces of at most
-ROW_CAP rows.  A brute-force sweep in the tests is its reference.
+over arc is the last resort.  While the only partial coloring is the
+pinned one, the planner folds each deterministic step: it evaluates the
+step on Python ints instead of emitting it, so a chain that never
+branches costs no numpy call.  From the first branch on, the plan runs
+on per-arc integer columns over all partial colorings at once, in
+pieces of at most ROW_CAP rows.  A brute-force sweep in the tests is
+its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -34,13 +39,16 @@ from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
 
 
 _UNDER, _VIRTUAL = PassKind.UNDER, PassKind.VIRTUAL
+_EARLY_OVER = CrossingClass.EARLY_OVER
 
 
 class HasVirtualPasses(Exception):
     """Classical-only mode was asked to color a diagram with virtual passes."""
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen slots dataclass costs ~4x as much to build, and a
+# long chain builds one relation per crossing.  Treat them as immutable.
+@dataclass(slots=True, unsafe_hash=True)
 class ClassicalRelation:
     crossing_id: str
     op: str                  # 'circ' or 'star'
@@ -49,7 +57,7 @@ class ClassicalRelation:
     over_arc: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VirtualRelation:
     crossing_id: str
     visit: int               # 1 or 2, in traversal order
@@ -87,14 +95,15 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
     over_arcs = assignment.over_arcs
-    ops = {CrossingClass.EARLY_OVER: "circ",
-           CrossingClass.EARLY_UNDER: "circ" if quandle_only else "star"}
+    early_under_op = "circ" if quandle_only else "star"
     relations: List[Relation] = []
     visited = set()
     for (kind, cid, _), in_arc, out_arc in steps:
         if kind is _UNDER:
+            # an identity test: Enum.__hash__ runs in Python
+            op = "circ" if classes[cid] is _EARLY_OVER else early_under_op
             relations.append(ClassicalRelation(
-                cid, ops[classes[cid]], in_arc, out_arc, over_arcs[cid]))
+                cid, op, in_arc, out_arc, over_arcs[cid]))
         elif kind is _VIRTUAL:
             if cid in visited:
                 relations.append(VirtualRelation(cid, 2, "fwd", in_arc, out_arc))
@@ -163,6 +172,7 @@ ROW_CAP = 1 << 14
 #   (_EXPAND, target, index, x, y) target in row x * 64 + y (or x) of a CSR
 #                                  index; x None: every color
 _SET2, _SET1, _CHECK2, _CHECK1, _EXPAND = range(5)
+_COLUMN = -1    # _plan's mark of an arc known as a column, not one color
 _ALL_COLORS = (np.array([0, ORDER], dtype=np.intp),
                np.arange(ORDER, dtype=np.intp))
 
@@ -183,23 +193,42 @@ def _equations(cs: ConstraintSet, bq: Biquandle) -> List[tuple]:
     return eqs
 
 
-def _plan(cs: ConstraintSet, bq: Biquandle, end_pinned: bool) -> List[tuple]:
-    """Order the relations into steps, from which arcs are known.
+def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
+          ) -> Optional[Tuple[Optional[List[tuple]], list]]:
+    """Order the relations into steps, from which arcs are known, folding
+    the steps of a one-row frontier.
 
-    Passes over the pending relations, alternately forward and backward,
-    take every deterministic step: a check, ``circ``/``star`` forward, the
-    right division backward, f forward.  Only when a pass finds none does
-    one relation branch, through a CSR index if one applies, else by
-    guessing all 64 colors of an over arc.
+    ``pins`` maps each pinned arc to its start column, a sequence of
+    colors.  Passes over the pending relations, alternately forward and
+    backward, take every deterministic step: a check, ``circ``/``star``
+    forward, the right division backward, f forward.  Only when a pass
+    finds none does one relation branch, through a CSR index if one
+    applies, else by guessing all 64 colors of an over arc.
+
+    While every start column has one row, a deterministic step is folded:
+    evaluated here on Python ints, not emitted.  A folded check that
+    fails means no coloring: the result is None.  Folding stops for good
+    at the first branch, where the folded arcs become 1-row start
+    columns.  Returns the steps and their per-arc start columns (None
+    where unknown), or (None, row) when every relation folded into one
+    row of colors (row[0] unused).
     """
-    m = cs.arc_count
-    ft = bq.f.table if bq.f is not None else None
-    tables = {"circ": (bq.circ_table, bq.circ_div_table),
-              "star": (bq.star_table, bq.star_div_table)}
-    known = bytearray(m + 1)
-    known[1] = 1
-    if end_pinned:
-        known[m] = 1
+    fold = all(len(c) == 1 for c in pins.values())
+    # val[a]: arc a's color while folding; afterwards, only whether it
+    # is None (arc a unknown) counts
+    val: List[Optional[int]] = [None] * (cs.arc_count + 1)
+    first: List[Optional[np.ndarray]] = [None] * (cs.arc_count + 1)
+    for a, c in pins.items():
+        val[a] = c[0]
+        if not fold:
+            first[a] = np.asarray(c, dtype=np.intp)
+    # (numpy table for steps, flat copy for folding)
+    flat = bq.flat_table
+    tables = {"circ": ((bq.circ_table, flat("circ")),
+                       (bq.circ_div_table, flat("circ_div"))),
+              "star": ((bq.star_table, flat("star")),
+                       (bq.star_div_table, flat("star_div")))}
+    ft = (bq.f.table, bq.f.flat_table()) if bq.f is not None else None
     steps: List[tuple] = []
     pending = _equations(cs, bq)
     forward = True
@@ -208,38 +237,54 @@ def _plan(cs: ConstraintSet, bq: Biquandle, end_pinned: bool) -> List[tuple]:
         for eq in (pending if forward else reversed(pending)):
             x, y, z, op = eq
             if op is None:
-                if known[x]:
-                    steps.append((_CHECK1, ft, x, z) if known[z]
-                                 else (_SET1, z, ft, x))
-                    known[z] = 1
+                if val[x] is None:
+                    rest.append(eq)
                     continue
-            elif known[y]:
-                t, div = tables[op]
-                if known[x]:
-                    steps.append((_CHECK2, t, x, y, z) if known[z]
-                                 else (_SET2, z, t, x, y))
-                    known[z] = 1
-                    continue
-                if known[z]:
-                    steps.append((_SET2, x, div, z, y))
-                    known[x] = 1
-                    continue
-            rest.append(eq)
+                t = ft
+            elif val[y] is None:
+                rest.append(eq)
+                continue
+            elif val[x] is not None:
+                t = tables[op][0]
+            elif val[z] is not None:
+                t = tables[op][1]
+                x, z = z, x          # the right division solves for x
+            else:
+                rest.append(eq)
+                continue
+            if fold:
+                got = t[1][val[x] if y is None else val[x] * ORDER + val[y]]
+                if val[z] is None:
+                    val[z] = got
+                elif val[z] != got:
+                    return None
+                continue
+            if y is None:
+                steps.append((_CHECK1, t[0], x, z) if val[z] is not None
+                             else (_SET1, z, t[0], x))
+            else:
+                steps.append((_CHECK2, t[0], x, y, z) if val[z] is not None
+                             else (_SET2, z, t[0], x, y))
+            val[z] = _COLUMN
         if not forward:
             rest.reverse()
         forward = not forward
         if len(rest) < len(pending):
             pending = rest
             continue
-        step, solved = _branch(pending, known, bq)
+        if fold:
+            fold = False
+            first = [None if v is None else np.array([v], dtype=np.intp)
+                     for v in val]
+        step, solved = _branch(pending, val, bq)
         steps.append(step)
-        known[step[1]] = 1
+        val[step[1]] = _COLUMN
         if solved is not None:
             pending.remove(solved)
-    return steps
+    return (None, val) if fold else (steps, first)
 
 
-def _branch(pending: List[tuple], known: bytearray, bq: Biquandle,
+def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
             ) -> Tuple[tuple, Optional[tuple]]:
     """The expansion that unblocks a stalled plan, and the relation it
     solves: the first relation an index solves for its one unknown arc,
@@ -251,14 +296,15 @@ def _branch(pending: List[tuple], known: bytearray, bq: Biquandle,
     """
     for eq in pending:
         x, y, z, op = eq
+        known_x, known_z = val[x] is not None, val[z] is not None
         if op is None:
-            if known[z]:
+            if known_z:
                 return (_EXPAND, x, bq.f.preimage_index(), z, None), eq
-        elif known[x] and known[z]:
+        elif known_x and known_z:
             return (_EXPAND, y, bq.solve_indexes(op).over, x, z), eq
-        elif known[x] and y == z:
+        elif known_x and y == z:
             return (_EXPAND, z, bq.solve_indexes(op).fixed, x, None), eq
-        elif known[z] and y == x:
+        elif known_z and y == x:
             return (_EXPAND, x, bq.solve_indexes(op).diagonal, z, None), eq
     return (_EXPAND, pending[0][1], _ALL_COLORS, None, None), None
 
@@ -334,15 +380,19 @@ def _expand(step: tuple, cols: List[Optional[np.ndarray]], i: int,
 def _solve_frontier(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
                     end: Optional[GroupElement]) -> List[Tuple[int, ...]]:
     m = cs.arc_count
-    first: List[Optional[np.ndarray]] = [None] * (m + 1)
-    first[1] = np.array([_index(*start)], dtype=np.intp)
+    pins = {1: (_index(*start),)}
     if end is not None:
         if m == 1 and end != start:
             return []
-        first[m] = np.array([_index(*end)], dtype=np.intp)
-    steps = _plan(cs, bq, end is not None)
+        pins[m] = (_index(*end),)
+    plan = _plan(cs, bq, pins)
+    if plan is None:
+        return []
+    steps, cols = plan
+    if steps is None:
+        return [tuple(cols[1:])]
     rows = set()
-    for cols in _execute(steps, first):
+    for cols in _execute(steps, cols):
         block = np.concatenate(cols[1:]).reshape(m, -1)
         rows.update(map(tuple, block.T.tolist()))
     return sorted(rows)

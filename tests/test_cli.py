@@ -129,6 +129,22 @@ def test_audit_f_table_duplicate_source(capsys, tmp_path):
     assert "f-table line 65 maps a again" in err
 
 
+def test_audit_f_table_word_error_names_line(capsys, tmp_path):
+    # "a to " strips to "a to", which splits at the space: the image "to"
+    # is not a word
+    path = tmp_path / "bad.txt"
+    path.write_text("a\ta\nb  b\na to \n")
+    code, out, err = run(capsys, "audit", "--f", f"table:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: f-table line 3: image 'to': ")
+    assert "illegal character 't'" in err
+    path.write_text("a\ta\nb^x\tb\n")
+    code, _, err = run(capsys, "audit", "--f", f"table:{path}")
+    assert code == 2
+    assert err.startswith("error: f-table line 2: source 'b^x': ")
+
+
 def test_audit_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "audit", "--n", "1",
                        "--f", "shear")

@@ -439,3 +439,118 @@ def test_result_serialization(group, bq):
     text = r.to_text()
     assert "count:   4" in text
     assert "a b^2" in text
+
+
+# -- the planner's fold ------------------------------------------------------------
+
+
+def _fold_cases(group, bq, count, seed):
+    """Seeded small diagrams, alternately with the calibrated and the
+    shear f; about 40 % pinned to an end, half of those to an end some
+    coloring reaches and half to a random color (mostly a contradiction)."""
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    rng = random.Random(seed)
+    for i in range(count):
+        b = bq if i % 2 == 0 else shear
+        start = ALL_ELEMENTS[rng.randrange(64)]
+        if rng.random() < 0.4:
+            d = make_random_diagram(rng, max_breaks=3, name=f"pin{i}")
+            ends = sorted(solve(d, b, start).end_colors)
+            if ends and rng.random() < 0.5:
+                end = rng.choice(ends)
+            else:
+                end = ALL_ELEMENTS[rng.randrange(64)]
+        else:
+            d = make_random_diagram(rng, max_breaks=2, name=f"free{i}")
+            end = None
+        yield d, b, start, end
+
+
+def test_fold_matches_oracle(group, bq):
+    counts = {"pinned": 0, "contradicted": 0}
+    for d, b, start, end in _fold_cases(group, bq, 1000, 1111):
+        r = solve(d, b, start, end=end)
+        assert r.colorings == oracle.colorings(d, b, start, end=end), \
+            f"solver and oracle disagree on {d} from {start} to {end}"
+        if end is not None:
+            counts["pinned"] += 1
+            counts["contradicted"] += r.count == 0
+    assert 300 <= counts["pinned"] <= 500
+    assert counts["contradicted"] >= 100
+
+
+def test_fold_pins_against_folded_end(group, bq):
+    # an all-early-over chain folds to one coloring: pinned to any other
+    # end, a folded relation is a failing check
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    rng = random.Random(12)
+    for b, crossings in ((bq, 2), (shear, 3), (bq, 3)):
+        d = _early_over_chain(rng, crossings)
+        start = ALL_ELEMENTS[rng.randrange(64)]
+        (only,) = solve(d, b, start).colorings
+        for end in ALL_ELEMENTS:
+            r = solve(d, b, start, end=end)
+            assert r.colorings == oracle.colorings(d, b, start, end=end)
+            assert r.count == (end == only[-1])
+
+
+def test_fold_unknot_pinned(group, bq):
+    d = parse_diagram("longknot unknot\n")
+    assert solve(d, bq, A, end=A).colorings == ((A,),)
+    assert solve(d, bq, A, end=AB2).colorings == ()
+    assert oracle.colorings(d, bq, A, end=AB2) == ()
+
+
+def test_fold_quandle_only_matches_oracle(group, bq):
+    rng = random.Random(13)
+    for i in range(150):
+        d = make_random_diagram(rng, max_virtual=0, max_breaks=3,
+                                name=f"classical{i}")
+        start = ALL_ELEMENTS[rng.randrange(64)]
+        end = ALL_ELEMENTS[rng.randrange(64)] if i % 3 == 0 else None
+        assert solve(d, bq, start, end=end, quandle_only=True).colorings == \
+            oracle.colorings(d, bq, start, end=end, quandle_only=True), \
+            f"disagree on {d}"
+
+
+def test_fold_skips_numpy_until_a_branch(group, bq, monkeypatch):
+    plans = []
+    execute = coloring._execute
+
+    def spy(steps, first):
+        plans.append(steps)
+        return execute(steps, first)
+
+    monkeypatch.setattr(coloring, "_execute", spy)
+    d = _early_over_chain(random.Random(14), 40)
+    r = solve(d, bq, GroupElement(3, 5))
+    assert r.count == 1 and plans == []
+    # the under pass of crossing 1 meets over arc 3, colored by nothing
+    # before it: a guess of all 64 colors
+    d = parse_diagram("longknot guess\nU1+ U2+ O1+ O2+\n")
+    r = solve(d, bq, A)
+    assert r.colorings == oracle.colorings(d, bq, A)
+    assert len(plans) == 1
+    assert any(step[0] == coloring._EXPAND and step[2] is coloring._ALL_COLORS
+               for step in plans[0])
+
+
+def test_multi_row_start_does_not_fold(group, bq):
+    # every start color at once: a 64-row start column is planned without
+    # folding, and its rows are the union of the one-start solves
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    rng = random.Random(15)
+    for i in range(40):
+        d = make_random_diagram(rng, max_breaks=4, name=f"all{i}")
+        b = bq if i % 2 == 0 else shear
+        cs = build_constraints(d, b)
+        steps, first = coloring._plan(cs, b, {1: range(64)})
+        assert len(first[1]) == 64
+        assert sum(c is not None for c in first) == 1
+        rows = set()
+        for cols in coloring._execute(steps, first):
+            rows.update(zip(*(c.tolist() for c in cols[1:])))
+        expected = {tuple(8 * g.k + g.l for g in col)
+                    for start in ALL_ELEMENTS
+                    for col in solve(d, b, start, constraints=cs).colorings}
+        assert rows == expected, f"disagree on {d}"
