@@ -153,8 +153,11 @@ def make_f(group: TorusGroup, kind: FKind,
         if table is None:
             raise ValueError("explicit-table candidate requires a table")
         if set(table) != set(ALL_ELEMENTS):
-            missing = sorted(set(ALL_ELEMENTS) - set(table))[:3]
-            raise ValueError(f"table must cover all 64 elements; missing {missing}")
+            missing = sorted(set(ALL_ELEMENTS) - set(table))
+            shown = ", ".join(map(format_normal, missing[:3]))
+            more = ", ..." if len(missing) > 3 else ""
+            raise ValueError(f"table must cover all 64 elements; "
+                             f"{len(missing)} missing: {shown}{more}")
         arr = np.empty(ORDER, dtype=np.int64)
         for g, img in table.items():
             arr[_index(*g)] = _index(*img)

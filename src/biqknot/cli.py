@@ -190,7 +190,7 @@ def _dispatch(args) -> int:
         d = _load_diagram(args.diagram)
         bq = col_mod.calibrated_biquandle(group)
         start = eval_text(args.start, group)
-        end = eval_text(args.end, group) if args.end else None
+        end = eval_text(args.end, group) if args.end is not None else None
         result = col_mod.solve(d, bq, start, end=end)
     else:
         d1 = _load_diagram(args.diagram1)

@@ -83,9 +83,10 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
     crossing, whatever its class, and no virtual passes allowed.
     """
     assignment = arcs(d)
-    steps, classes = assignment.steps, assignment.classes
+    classes, over_arcs = assignment.classes, assignment.over_arcs
+    passes = d.passes
     # every classical crossing has two passes; the rest are virtual
-    has_virtual = len(steps) > 2 * len(classes)
+    has_virtual = len(passes) > 2 * len(classes)
     if quandle_only and has_virtual:
         raise HasVirtualPasses(
             f"diagram {d.name!r} has virtual passes; classical mode "
@@ -94,22 +95,25 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
         raise MissingF(
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
-    over_arcs = assignment.over_arcs
     early_under_op = "circ" if quandle_only else "star"
     relations: List[Relation] = []
+    append = relations.append
     visited = set()
-    for (kind, cid, _), in_arc, out_arc in steps:
+    # the k-th under or virtual pass runs from arc k to arc k + 1
+    arc = 1
+    for kind, cid, _ in passes:
         if kind is _UNDER:
             # an identity test: Enum.__hash__ runs in Python
             op = "circ" if classes[cid] is _EARLY_OVER else early_under_op
-            relations.append(ClassicalRelation(
-                cid, op, in_arc, out_arc, over_arcs[cid]))
+            append(ClassicalRelation(cid, op, arc, arc + 1, over_arcs[cid]))
+            arc += 1
         elif kind is _VIRTUAL:
             if cid in visited:
-                relations.append(VirtualRelation(cid, 2, "fwd", in_arc, out_arc))
+                append(VirtualRelation(cid, 2, "fwd", arc, arc + 1))
             else:
                 visited.add(cid)
-                relations.append(VirtualRelation(cid, 1, "inv", in_arc, out_arc))
+                append(VirtualRelation(cid, 1, "inv", arc, arc + 1))
+            arc += 1
     return ConstraintSet(relations=tuple(relations),
                          arc_count=assignment.arc_count)
 

@@ -19,6 +19,13 @@ must appear exactly once as O and once as U with equal signs; every
 virtual id exactly twice.  Classical and virtual ids are independent
 namespaces.  A new arc starts after every under pass and after every
 virtual pass, so arc count = unders + virtual passes + 1.
+
+Each stage walks the passes once: ``parse_diagram`` checks and builds
+each pass token in one loop (a head-letter lookup, the sign, then
+``str.isalnum`` on the id), and finds the offset of a bad token only
+when it rejects a text; ``arcs`` records the arc count and, per
+classical crossing, the over pass's arc and the crossing's class, with
+no per-pass record.
 """
 
 from __future__ import annotations
@@ -32,9 +39,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 _TOKEN = re.compile(r"\S+")
 # '#' up to, not including, the next line break of str.splitlines
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
-# One pass token, as groups (O/U letter, id, sign); the letter and the
-# sign are None for a virtual pass.  [^\W_] is exactly str.isalnum.
-_PASS = re.compile(r"([OoUu])?(?(1)|[Vv])([^\W_]+)(?(1)([+-]))")
 
 
 class PassKind(Enum):
@@ -56,7 +60,9 @@ class CrossingClass(Enum):
 
 _OVER, _UNDER, _VIRTUAL = PassKind.OVER, PassKind.UNDER, PassKind.VIRTUAL
 _EARLY_OVER, _EARLY_UNDER = CrossingClass.EARLY_OVER, CrossingClass.EARLY_UNDER
-_KIND = {"O": _OVER, "o": _OVER, "U": _UNDER, "u": _UNDER, None: _VIRTUAL}
+# the head letter of a pass token -> its kind
+_KIND = {"O": _OVER, "o": _OVER, "U": _UNDER, "u": _UNDER,
+         "V": _VIRTUAL, "v": _VIRTUAL}
 
 
 class DiagramSyntaxError(ValueError):
@@ -83,11 +89,9 @@ class LongDiagram:
         return breaks + 1
 
     def virtual_ids(self) -> List[str]:
-        seen = []
-        for p in self.passes:
-            if p.kind is PassKind.VIRTUAL and p.crossing_id not in seen:
-                seen.append(p.crossing_id)
-        return seen
+        """Each virtual crossing id once, in order of its first pass."""
+        return list(dict.fromkeys(
+            p.crossing_id for p in self.passes if p.kind is _VIRTUAL))
 
     def has_virtual(self) -> bool:
         return any(p.kind is PassKind.VIRTUAL for p in self.passes)
@@ -133,13 +137,33 @@ def _check_pairing(passes: Tuple[Pass, ...]) -> None:
 def parse_diagram(text: str) -> LongDiagram:
     tokens = (_COMMENT.sub("", text) if "#" in text else text).split()
     if len(tokens) >= 2 and tokens[0] == "longknot":
-        matches = list(map(_PASS.fullmatch, tokens[2:]))
-        if None not in matches:
-            # tuple.__new__ skips the NamedTuple's Python-level __new__
-            passes = tuple([tuple.__new__(Pass, (_KIND[head], cid, sign))
-                            for head, cid, sign in map(re.Match.groups, matches)])
-            return LongDiagram(name=tokens[1], passes=passes)
+        passes = _passes(tokens[2:])
+        if len(passes) == len(tokens) - 2:
+            return LongDiagram(name=tokens[1], passes=tuple(passes))
     raise _syntax_error(text)
+
+
+def _passes(tokens: List[str]) -> List[Pass]:
+    """The passes the tokens spell, up to the first token that is not a
+    pass token."""
+    passes = []
+    append, kind_of, new, virtual = (passes.append, _KIND.get,
+                                     tuple.__new__, _VIRTUAL)
+    for tok in tokens:
+        kind = kind_of(tok[0])
+        if kind is virtual:
+            cid, sign = tok[1:], None
+        elif kind is None:
+            break
+        else:
+            cid, sign = tok[1:-1], tok[-1]
+            if sign not in "+-":
+                break
+        if not cid.isalnum():
+            break
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        append(new(Pass, (kind, cid, sign)))
+    return passes
 
 
 def _syntax_error(text: str) -> DiagramSyntaxError:
@@ -152,9 +176,10 @@ def _syntax_error(text: str) -> DiagramSyntaxError:
         return DiagramSyntaxError("expected header 'longknot <name>'", pos)
     if len(tokens) < 2:
         return DiagramSyntaxError("missing diagram name", len(flat))
-    for tok, pos in tokens[2:]:
-        if _PASS.fullmatch(tok) is None:
-            return _pass_error(tok, pos)
+    rest = tokens[2:]
+    good = len(_passes([tok for tok, _ in rest]))
+    if good < len(rest):
+        return _pass_error(*rest[good])
     raise AssertionError(f"no syntax error in {text!r}")
 
 
@@ -199,13 +224,32 @@ class ArcStep(NamedTuple):
 
 @dataclass(frozen=True)
 class ArcAssignment:
-    """The arcs of a diagram's passes, and per classical crossing id the
-    arc of its over pass and its class; made by ``arcs``."""
+    """The arc count of a diagram's passes, and per classical crossing id
+    the arc of its over pass and its class; made by ``arcs``.
 
-    steps: Tuple[ArcStep, ...]
+    Arcs are numbered 1..arc_count in traversal order: the k-th under or
+    virtual pass runs from arc k to arc k + 1, and an over pass lies on
+    the arc the traversal is on.  ``steps`` spells this out per pass; it
+    is built on each read, from ``passes``.
+    """
+
+    passes: Tuple[Pass, ...]
     arc_count: int
     over_arcs: Dict[str, int] = field(repr=False, compare=False)
     classes: Dict[str, CrossingClass] = field(repr=False, compare=False)
+
+    @property
+    def steps(self) -> Tuple[ArcStep, ...]:
+        """Each pass with its incoming and outgoing arc."""
+        arc = 1
+        steps = []
+        for p in self.passes:
+            if p.kind is _OVER:
+                steps.append(ArcStep(p, arc, arc))
+            else:
+                steps.append(ArcStep(p, arc, arc + 1))
+                arc += 1
+        return tuple(steps)
 
     def over_arc(self, crossing_id: str) -> int:
         return self.over_arcs[crossing_id]
@@ -214,22 +258,18 @@ class ArcAssignment:
 def arcs(d: LongDiagram) -> ArcAssignment:
     """Sequential arc indices 1..m; a new arc starts after U and V passes."""
     arc = 1
-    steps = []
     over_arcs: Dict[str, int] = {}
     classes: Dict[str, CrossingClass] = {}
-    for p in d.passes:
-        kind, cid, _ = p
+    for kind, cid, _ in d.passes:
         if kind is _OVER:
-            steps.append(tuple.__new__(ArcStep, (p, arc, arc)))
             over_arcs[cid] = arc
             if cid not in classes:
                 classes[cid] = _EARLY_OVER
         else:
-            steps.append(tuple.__new__(ArcStep, (p, arc, arc + 1)))
             arc += 1
             if kind is _UNDER and cid not in classes:
                 classes[cid] = _EARLY_UNDER
-    return ArcAssignment(steps=tuple(steps), arc_count=arc,
+    return ArcAssignment(passes=d.passes, arc_count=arc,
                          over_arcs=over_arcs, classes=classes)
 
 

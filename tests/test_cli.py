@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from biqknot import coloring, torus_group
 from biqknot.cli import main
@@ -145,6 +149,39 @@ def test_audit_f_table_word_error_names_line(capsys, tmp_path):
     assert err.startswith("error: f-table line 2: source 'b^x': ")
 
 
+def test_audit_f_table_missing_elements(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("a\ta\n")
+    code, out, err = run(capsys, "audit", "--f", f"table:{path}")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: table must cover all 64 elements; "
+                   "63 missing: e, b, b^2, ...\n")
+
+
+# pieces of f-table lines: words, separators, comments, line breaks and
+# bytes that are not UTF-8
+_F_TABLE_PIECES = [s.encode() for s in (
+    "e", "a", "b", "a^3", "b^-2", "a b^2", "(ab)^2", "a^", "(", "x", "\u00b2",
+    "\t", " ", "  ", " to ", "to", "#", "# c", "\n", "\r\n", "\r")] + [
+    b"\xff", b"\xc3", b"\x00", b"\xe2\x80"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(_F_TABLE_PIECES),
+                          st.binary(max_size=3)), max_size=40))
+def test_audit_f_table_loader_fuzz(tmp_path_factory, pieces):
+    # any file ends in a verdict or a documented error, never exit 3
+    path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+    path.write_bytes(b"".join(pieces))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["audit", "--f", f"table:{path}"])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 def test_audit_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "audit", "--n", "1",
                        "--f", "shear")
@@ -168,6 +205,15 @@ def test_color_left_trefoil_end_pinned(capsys):
                        "--start", "a", "--end", "a b^2")
     assert code == 0
     assert "count:   0" in out
+
+
+def test_color_empty_end_word(capsys):
+    # an empty --end is a word error, as an empty --start is, not no pin
+    code, out, err = run(capsys, "color", "builtin:right-trefoil",
+                         "--start", "a", "--end", "")
+    assert code == 2
+    assert out == ""
+    assert "empty word (offset 0)" in err
 
 
 def test_color_diagram_file(capsys, tmp_path):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import oracle
-from biqknot import coloring
+from biqknot import coloring, diagram
 from biqknot.biquandle import Biquandle, FKind, MissingF, from_group, make_f
 from biqknot.coloring import (
     ClassicalRelation,
@@ -343,6 +343,28 @@ def test_long_early_over_chain(group, bq):
         arc.append(tables[rel.op][arc[rel.in_arc]][arc[rel.over_arc]])
     assert [8 * g.k + g.l for g in r.colorings[0]] == arc[1:]
     assert elapsed < 2.0, f"10 000-crossing chain took {elapsed:.2f} s"
+
+
+def test_solve_builds_no_arc_steps(group, bq, monkeypatch):
+    # the front end walks the passes themselves: no ArcStep per pass, and
+    # one arcs call, made through the module global a tracer can wrap
+    d = _early_over_chain(random.Random(1000), 1000)
+    calls = []
+
+    def spy(diagram_):
+        calls.append(diagram_)
+        return arcs(diagram_)
+
+    class NoArcStep:
+        # building one, by ArcStep(...) or tuple.__new__, raises
+        def __new__(cls, *args):
+            raise AssertionError("an ArcStep was built")
+
+    monkeypatch.setattr(coloring, "arcs", spy)
+    monkeypatch.setattr(diagram, "ArcStep", NoArcStep)
+    r = solve(d, bq, GroupElement(3, 5))
+    assert r.count == 1
+    assert calls == [d]
 
 
 def test_random_pairs_distinguish_quickly(group, bq):

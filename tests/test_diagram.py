@@ -77,6 +77,12 @@ def test_classify_stable_under_id_renaming():
     assert cls["9"] is CrossingClass.EARLY_UNDER
 
 
+def test_virtual_ids_in_first_seen_order():
+    d = parse_diagram("longknot v\nV3 O1+ V10 U1+ V3 v2 V10 O4- V2 U4-\n")
+    assert d.virtual_ids() == ["3", "10", "2"]
+    assert parse_diagram("longknot c\nO1+ U1+\n").virtual_ids() == []
+
+
 def test_arcs_assignment():
     d = parse_diagram("longknot x\nV1 O2+ U2+ V1\n")
     asg = arcs(d)
@@ -172,8 +178,9 @@ def test_tokenize_offsets_with_tabs_crlf_and_comments():
 
 
 # ids mix ASCII and Arabic-Indic digits, a superscript digit (str.isalnum
-# but not str.isdecimal), letters and the '_' the grammar refuses
-_ID_CHARS = "07\u0663\u00b2x\u00e9"
+# but not str.isdecimal), a letter-number (Roman numeral eight, str.isalnum),
+# letters, and a combining accent and the '_' the grammar refuses
+_ID_CHARS = "07\u0663\u00b2x\u00e9\u2167\u0301"
 _SEPARATORS = [" ", "\t", "\r\n", "\n", "\x0b", "\x1c", "\u2028", "  ",
                " # c\n", "#O1+\x1c", "\t#\u2028"]
 _OTHER_SIGN = str.maketrans("+-", "-+")
