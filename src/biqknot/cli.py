@@ -69,7 +69,7 @@ def _load_diagram(spec: str) -> LongDiagram:
         return builtin_trefoil("right")
     if spec == "builtin:left-trefoil":
         return builtin_trefoil("left")
-    with open(spec, "r", encoding="utf-8") as fh:
+    with open(spec, "r", encoding="utf-8-sig") as fh:
         return parse_diagram(fh.read())
 
 
@@ -84,7 +84,7 @@ def _load_f(group: TorusGroup, spec: Optional[str],
     if spec.startswith("table:"):
         path = spec[len("table:"):]
         mapping = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -16,9 +16,10 @@ over arc is the last resort.  While the only partial coloring is the
 pinned one, the planner folds each deterministic step: it evaluates the
 step on Python ints instead of emitting it, so a chain that never
 branches costs no numpy call.  From the first branch on, the plan runs
-on per-arc integer columns over all partial colorings at once, in
-pieces of at most ROW_CAP rows.  A brute-force sweep in the tests is
-its reference.
+on one integer array front[arc, col], one column per partial coloring,
+in pieces of at most ROW_CAP columns: a set writes a row, a check keeps
+columns, an expansion repeats them.  A brute-force sweep in the tests
+is its reference.
 """
 
 from __future__ import annotations
@@ -162,21 +163,20 @@ class InvariantResult:
 
 # -- frontier solver -------------------------------------------------------------
 
-# No expansion makes more than ROW_CAP rows: its input is halved first, and
-# the halves wait on an explicit stack, to be halved again if still too
-# large.  (A single row's fan-out, at most 64, is the unit when ROW_CAP is
-# smaller.)
+# No expansion makes more than ROW_CAP columns: its input is halved first,
+# and the halves wait on an explicit stack, to be halved again if still
+# too large.  (A single column's fan-out, at most 64, is the unit when
+# ROW_CAP is smaller.)
 ROW_CAP = 1 << 14
 
-# Plan steps, over per-arc columns of all rows:
-#   (_SET2, target, t, x, y)       target = t[x, y]
-#   (_SET1, target, t, x)          target = t[x]
-#   (_CHECK2, t, x, y, z)          keep rows with t[x, y] == z
-#   (_CHECK1, t, x, z)             keep rows with t[x] == z
-#   (_EXPAND, target, index, x, y) target in row x * 64 + y (or x) of a CSR
-#                                  index; x None: every color
-_SET2, _SET1, _CHECK2, _CHECK1, _EXPAND = range(5)
-_COLUMN = -1    # _plan's mark of an arc known as a column, not one color
+# Plan steps (kind, z, t, x, y) over the frontier front[arc, col], where
+# t[x, y] stands for t[x] when y is None (f):
+#   _SET     z = t[x, y]
+#   _CHECK   keep the columns with t[x, y] == z
+#   _EXPAND  z in row x * 64 + y (or x) of the CSR index t; x None: every
+#            color
+_SET, _CHECK, _EXPAND = range(3)
+_COLUMN = -1    # _plan's mark of an arc known as a frontier row, not one color
 _ALL_COLORS = (np.array([0, ORDER], dtype=np.intp),
                np.arange(ORDER, dtype=np.intp))
 
@@ -198,34 +198,36 @@ def _equations(cs: ConstraintSet, bq: Biquandle) -> List[tuple]:
 
 
 def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
-          ) -> Optional[Tuple[Optional[List[tuple]], list]]:
+          ) -> Optional[Tuple[Optional[List[tuple]], Union[list, np.ndarray]]]:
     """Order the relations into steps, from which arcs are known, folding
-    the steps of a one-row frontier.
+    the steps of a one-column frontier.
 
-    ``pins`` maps each pinned arc to its start column, a sequence of
-    colors.  Passes over the pending relations, alternately forward and
-    backward, take every deterministic step: a check, ``circ``/``star``
-    forward, the right division backward, f forward.  Only when a pass
-    finds none does one relation branch, through a CSR index if one
-    applies, else by guessing all 64 colors of an over arc.
+    ``pins`` maps each pinned arc to its colors, one per start column.
+    Passes over the pending relations, alternately forward and backward,
+    take every deterministic step: a check, ``circ``/``star`` forward,
+    the right division backward, f forward.  Only when a pass finds none
+    does one relation branch, through a CSR index if one applies, else by
+    guessing all 64 colors of an over arc.
 
-    While every start column has one row, a deterministic step is folded:
+    While every pin has one color, a deterministic step is folded:
     evaluated here on Python ints, not emitted.  A folded check that
     fails means no coloring: the result is None.  Folding stops for good
-    at the first branch, where the folded arcs become 1-row start
-    columns.  Returns the steps and their per-arc start columns (None
-    where unknown), or (None, row) when every relation folded into one
-    row of colors (row[0] unused).
+    at the first branch, where the folded row becomes a one-column start
+    frontier.  Returns the steps and their start frontier front[arc, col]
+    (zero in the rows of arcs not yet known), or (None, row) when every
+    relation folded into one row of colors (row[0] unused).
     """
-    fold = all(len(c) == 1 for c in pins.values())
     # val[a]: arc a's color while folding; afterwards, only whether it
     # is None (arc a unknown) counts
     val: List[Optional[int]] = [None] * (cs.arc_count + 1)
-    first: List[Optional[np.ndarray]] = [None] * (cs.arc_count + 1)
     for a, c in pins.items():
         val[a] = c[0]
-        if not fold:
-            first[a] = np.asarray(c, dtype=np.intp)
+    fold = all(len(c) == 1 for c in pins.values())
+    if not fold:
+        front = np.zeros((cs.arc_count + 1, max(map(len, pins.values()))),
+                         dtype=np.intp)
+        for a, c in pins.items():
+            front[a] = c
     # (numpy table for steps, flat copy for folding)
     flat = bq.flat_table
     tables = {"circ": ((bq.circ_table, flat("circ")),
@@ -263,12 +265,7 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
                 elif val[z] != got:
                     return None
                 continue
-            if y is None:
-                steps.append((_CHECK1, t[0], x, z) if val[z] is not None
-                             else (_SET1, z, t[0], x))
-            else:
-                steps.append((_CHECK2, t[0], x, y, z) if val[z] is not None
-                             else (_SET2, z, t[0], x, y))
+            steps.append((_SET if val[z] is None else _CHECK, z, t[0], x, y))
             val[z] = _COLUMN
         if not forward:
             rest.reverse()
@@ -278,14 +275,14 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
             continue
         if fold:
             fold = False
-            first = [None if v is None else np.array([v], dtype=np.intp)
-                     for v in val]
+            front = np.array([0 if v is None else v for v in val],
+                             dtype=np.intp)[:, None]
         step, solved = _branch(pending, val, bq)
         steps.append(step)
         val[step[1]] = _COLUMN
         if solved is not None:
             pending.remove(solved)
-    return (None, val) if fold else (steps, first)
+    return (None, val) if fold else (steps, front)
 
 
 def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
@@ -313,72 +310,66 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
     return (_EXPAND, pending[0][1], _ALL_COLORS, None, None), None
 
 
-def _execute(steps: List[tuple], first: List[Optional[np.ndarray]],
-             ) -> List[List[Optional[np.ndarray]]]:
-    """Run the plan on per-arc columns (None while unknown); return the
-    surviving pieces."""
+def _execute(steps: List[tuple], front: np.ndarray) -> List[np.ndarray]:
+    """Run the plan on the frontier front[arc, col], one column per
+    partial coloring; return the surviving pieces."""
     done = []
-    stack = [(0, first)]
+    stack = [(0, front)]
     while stack:
-        i, cols = stack.pop()
+        i, front = stack.pop()
         while i < len(steps):
-            step = steps[i]
-            kind = step[0]
-            if kind == _SET2:
-                _, target, t, x, y = step
-                cols[target] = t[cols[x], cols[y]]
-            elif kind == _SET1:
-                _, target, t, x = step
-                cols[target] = t[cols[x]]
+            kind, z, t, x, y = step = steps[i]
+            if kind == _SET:
+                front[z] = t[front[x]] if y is None else t[front[x], front[y]]
+            elif kind == _CHECK:
+                keep = (t[front[x]] if y is None
+                        else t[front[x], front[y]]) == front[z]
+                if not keep.all():
+                    front = front.take(np.flatnonzero(keep), axis=1)
+                    if front.shape[1] == 0:
+                        break
             else:
-                if kind == _EXPAND:
-                    cols = _expand(step, cols, i, stack)
-                else:
-                    if kind == _CHECK2:
-                        _, t, x, y, z = step
-                        mask = t[cols[x], cols[y]] == cols[z]
-                    else:
-                        _, t, x, z = step
-                        mask = t[cols[x]] == cols[z]
-                    if not mask.all():
-                        keep = np.flatnonzero(mask)
-                        cols = [None if c is None else c[keep] for c in cols]
-                if cols is None or len(cols[1]) == 0:
+                front = _expand(step, front, i, stack)
+                if front is None or front.shape[1] == 0:
                     break
             i += 1
         else:
-            done.append(cols)
+            done.append(front)
     return done
 
 
-def _expand(step: tuple, cols: List[Optional[np.ndarray]], i: int,
-            stack: List[tuple]) -> Optional[List[Optional[np.ndarray]]]:
-    """Give each row one copy per index entry; return None after pushing
-    the halves of an input that would expand beyond ROW_CAP rows."""
-    _, target, (indptr, values), x, y = step
-    rows = len(cols[1])
+def _expand(step: tuple, front: np.ndarray, i: int,
+            stack: List[tuple]) -> Optional[np.ndarray]:
+    """Give each column one copy per index entry; return None after
+    pushing the halves of an input that would expand beyond ROW_CAP
+    columns."""
+    _, z, (indptr, values), x, y = step
+    cols = front.shape[1]
     if x is None:
-        key = np.zeros(rows, dtype=np.intp)
+        key = np.zeros(cols, dtype=np.intp)
     elif y is None:
-        key = cols[x]
+        key = front[x]
     else:
-        key = cols[x] * ORDER + cols[y]
+        key = front[x] * ORDER + front[y]
     lo = indptr[key]
     counts = indptr[key + 1] - lo
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    if total > ROW_CAP and rows > 1:
-        half = rows // 2
-        for piece in (slice(half, None), slice(None, half)):
-            stack.append((i, [None if c is None else c[piece] for c in cols]))
+    if total > ROW_CAP and cols > 1:
+        half = cols // 2
+        # views, written in place by later _SET steps: safe only because
+        # the two pieces are disjoint column ranges
+        stack.append((i, front[:, half:]))
+        stack.append((i, front[:, :half]))
         return None
-    if total == rows and (counts == 1).all():
-        cols[target] = values[lo]
-        return cols
-    rep = np.repeat(np.arange(rows), counts)
-    cols = [None if c is None else c[rep] for c in cols]
-    cols[target] = values[lo[rep] + np.arange(total) - (ends - counts)[rep]]
-    return cols
+    if total == cols and (counts == 1).all():
+        front[z] = values[lo]
+        return front
+    # output column j, a copy of input column c, takes entry
+    # lo[c] + j - (ends[c] - counts[c]) of the index
+    front = front.repeat(counts, axis=1)
+    front[z] = values[np.arange(total) + (lo + counts - ends).repeat(counts)]
+    return front
 
 
 def _solve_frontier(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
@@ -392,13 +383,12 @@ def _solve_frontier(cs: ConstraintSet, bq: Biquandle, start: GroupElement,
     plan = _plan(cs, bq, pins)
     if plan is None:
         return []
-    steps, cols = plan
+    steps, front = plan
     if steps is None:
-        return [tuple(cols[1:])]
+        return [tuple(front[1:])]
     rows = set()
-    for cols in _execute(steps, cols):
-        block = np.concatenate(cols[1:]).reshape(m, -1)
-        rows.update(map(tuple, block.T.tolist()))
+    for front in _execute(steps, front):
+        rows.update(map(tuple, front[1:].T.tolist()))
     return sorted(rows)
 
 

@@ -216,12 +216,6 @@ def classify(d: LongDiagram) -> Dict[str, CrossingClass]:
     return arcs(d).classes
 
 
-class ArcStep(NamedTuple):
-    pass_: Pass
-    incoming_arc: int
-    outgoing_arc: int  # equals incoming_arc for over passes
-
-
 @dataclass(frozen=True)
 class ArcAssignment:
     """The arc count of a diagram's passes, and per classical crossing id
@@ -229,30 +223,13 @@ class ArcAssignment:
 
     Arcs are numbered 1..arc_count in traversal order: the k-th under or
     virtual pass runs from arc k to arc k + 1, and an over pass lies on
-    the arc the traversal is on.  ``steps`` spells this out per pass; it
-    is built on each read, from ``passes``.
+    the arc the traversal is on.
     """
 
     passes: Tuple[Pass, ...]
     arc_count: int
     over_arcs: Dict[str, int] = field(repr=False, compare=False)
     classes: Dict[str, CrossingClass] = field(repr=False, compare=False)
-
-    @property
-    def steps(self) -> Tuple[ArcStep, ...]:
-        """Each pass with its incoming and outgoing arc."""
-        arc = 1
-        steps = []
-        for p in self.passes:
-            if p.kind is _OVER:
-                steps.append(ArcStep(p, arc, arc))
-            else:
-                steps.append(ArcStep(p, arc, arc + 1))
-                arc += 1
-        return tuple(steps)
-
-    def over_arc(self, crossing_id: str) -> int:
-        return self.over_arcs[crossing_id]
 
 
 def arcs(d: LongDiagram) -> ArcAssignment:

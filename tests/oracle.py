@@ -17,8 +17,8 @@ import numpy as np
 
 from biqknot.coloring import (ClassicalRelation, HasVirtualPasses,
                               VirtualRelation, build_constraints)
-from biqknot.diagram import (ArcStep, CrossingClass, DiagramSyntaxError,
-                             PairingError, Pass, PassKind, _tokenize)
+from biqknot.diagram import (CrossingClass, DiagramSyntaxError, PairingError,
+                             Pass, PassKind, _tokenize)
 from biqknot.torus_group import ALL_ELEMENTS, ORDER, GroupElement, _index
 
 MAX_FREE = 4
@@ -158,17 +158,20 @@ def classify(d) -> Dict[str, CrossingClass]:
     return out
 
 
-def arcs(d) -> Tuple[Tuple[ArcStep, ...], int, Dict[str, int]]:
+def arcs(d) -> Tuple[Tuple[Tuple[Pass, int, int], ...], int, Dict[str, int]]:
+    """Each pass with its incoming and outgoing arc (equal for an over
+    pass), the arc count, and each crossing's over arc."""
     arc = 1
     steps = []
     for p in d.passes:
         if p.kind is PassKind.OVER:
-            steps.append(ArcStep(p, arc, arc))
+            steps.append((p, arc, arc))
         else:
-            steps.append(ArcStep(p, arc, arc + 1))
+            steps.append((p, arc, arc + 1))
             arc += 1
-    over_arcs = {s.pass_.crossing_id: s.incoming_arc
-                 for s in reversed(steps) if s.pass_.kind is PassKind.OVER}
+    over_arcs = {p.crossing_id: incoming
+                 for p, incoming, _ in reversed(steps)
+                 if p.kind is PassKind.OVER}
     return tuple(steps), arc, over_arcs
 
 
@@ -180,8 +183,7 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
     steps, arc_count, over_arcs = arcs(d)
     relations = []
     visits: Dict[str, int] = {}
-    for step in steps:
-        p = step.pass_
+    for p, in_arc, out_arc in steps:
         if p.kind is PassKind.UNDER:
             if quandle_only:
                 op = "circ"
@@ -190,7 +192,7 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
                       else "star")
             relations.append(ClassicalRelation(
                 crossing_id=p.crossing_id, op=op,
-                in_arc=step.incoming_arc, out_arc=step.outgoing_arc,
+                in_arc=in_arc, out_arc=out_arc,
                 over_arc=over_arcs[p.crossing_id]))
         elif p.kind is PassKind.VIRTUAL:
             visit = visits.get(p.crossing_id, 0) + 1
@@ -198,5 +200,5 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
             relations.append(VirtualRelation(
                 crossing_id=p.crossing_id, visit=visit,
                 direction="inv" if visit == 1 else "fwd",
-                in_arc=step.incoming_arc, out_arc=step.outgoing_arc))
+                in_arc=in_arc, out_arc=out_arc))
     return relations, arc_count

@@ -122,6 +122,22 @@ def test_audit_f_table_to_separator(capsys, tmp_path):
     assert "f-equivariance-circ domain=4096 FAIL" in out
 
 
+def test_audit_f_table_with_byte_order_mark(capsys, tmp_path, monkeypatch):
+    # an editor's leading byte-order mark is not part of the first line;
+    # the report names the path, so both files are f.txt
+    lines = [f"{format_normal(g)}\t{format_normal(ALL_ELEMENTS[(i + 9) % 64])}"
+             for i, g in enumerate(ALL_ELEMENTS)]
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("f.txt").write_text(prefix + "\n".join(lines) + "\n",
+                                 encoding="utf-8")
+        outputs.append(run(capsys, "audit", "--f", "table:f.txt"))
+    assert outputs[1] == outputs[0]
+    assert "f = table:f.txt; bijective" in outputs[0][1]
+
+
 def test_audit_f_table_duplicate_source(capsys, tmp_path):
     # the identity table plus a second image of b: rejected, not audited
     path = tmp_path / "dup.txt"
@@ -222,6 +238,20 @@ def test_color_diagram_file(capsys, tmp_path):
     code, out, _ = run(capsys, "color", str(path), "--start", "a^2 b")
     assert code == 0
     assert "count:   1" in out
+
+
+def test_color_diagram_file_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "right.txt"
+    path.write_text("\ufefflongknot right-trefoil\nO2+ V1 U2+ O1+ V1 U1+\n",
+                    encoding="utf-8")
+    from_file = run(capsys, "color", str(path), "--start", "a")
+    builtin = run(capsys, "color", "builtin:right-trefoil", "--start", "a")
+    assert from_file == builtin and from_file[0] == 0
+    # only a leading mark is dropped: one inside the text is still an error
+    path.write_text("longknot right-trefoil\n\ufeffO2+ V1 U2+ O1+ V1 U1+\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "color", str(path), "--start", "a")
+    assert code == 2 and out == ""
 
 
 def test_color_missing_file(capsys):

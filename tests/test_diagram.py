@@ -86,17 +86,13 @@ def test_virtual_ids_in_first_seen_order():
 def test_arcs_assignment():
     d = parse_diagram("longknot x\nV1 O2+ U2+ V1\n")
     asg = arcs(d)
+    # V1 runs from arc 1 to 2, O2 lies on arc 2, U2 runs from 2 to 3 and
+    # the second V1 from 3 to 4
     assert asg.arc_count == 4
-    kinds = [(s.pass_.kind, s.incoming_arc, s.outgoing_arc) for s in asg.steps]
-    assert kinds == [
-        (PassKind.VIRTUAL, 1, 2),
-        (PassKind.OVER, 2, 2),
-        (PassKind.UNDER, 2, 3),
-        (PassKind.VIRTUAL, 3, 4),
-    ]
-    assert asg.over_arc("2") == 2
+    assert asg.over_arcs == {"2": 2}
+    assert asg.classes == {"2": CrossingClass.EARLY_OVER}
     with pytest.raises(KeyError):
-        asg.over_arc("1")
+        asg.over_arcs["1"]
 
 
 def test_double_virtual_gives_three_arcs():
