@@ -1,9 +1,12 @@
 """Build the 64-element torus-grid group and check its headline facts.
 
 The group lives on an 8x8 grid glued into a torus: an a-step moves
-horizontally, a b-step vertically, and lines alternate orientation.
-Calibration picks the composition convention that reproduces a fixed set
-of known products, then everything else is table lookups.
+horizontally, a b-step vertically, and lines alternate orientation.  The
+table is the seam twist's closed-form law; the composition order and
+orientation phases only place elements on the grid.  Calibration picks
+the convention that reproduces a fixed set of known products (the tests
+walk all 16 grids as the reference), then everything else is table
+lookups.
 """
 
 from biqknot import build_group, calibrate_convention, format_normal

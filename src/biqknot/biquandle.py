@@ -22,7 +22,7 @@ import numpy as np
 
 from .group_words import format_normal
 from .torus_group import (ALL_ELEMENTS, GRID, ORDER, GroupElement, TorusGroup,
-                          _element, _index, _perm_powers)
+                          _element, _index)
 
 
 class MissingF(Exception):
@@ -125,6 +125,14 @@ def _audit_candidate(group: TorusGroup, kind: FKind, name: str,
                       mult_witness=mult_witness,
                       collision_witness=collision,
                       patched_entries=patched)
+
+
+def _perm_powers(p: np.ndarray) -> np.ndarray:
+    """Row n is the permutation p applied n times, for n in 0..GRID-1."""
+    powers = [np.arange(ORDER)]
+    for _ in range(GRID - 1):
+        powers.append(p[powers[-1]])
+    return np.stack(powers)
 
 
 def make_f(group: TorusGroup, kind: FKind,

@@ -12,7 +12,8 @@ Subcommands::
     biqknot distinguish <d1> <d2> --start W
 
 Diagrams are file paths or builtin:right-trefoil / builtin:left-trefoil.
-Only ``group calibrate`` runs the full convention sweep.
+Only ``group calibrate`` builds both seam models and reports all 16
+conventions.
 Exit status: 0 success, 1 audit failure, 2 usage or parse error,
 3 internal error (an unexpected exception, reported without traceback).
 """
@@ -117,9 +118,9 @@ def _f_table_pair(line: str, group: TorusGroup) -> Tuple[GroupElement, ...]:
 
 
 def _split_pair(line: str):
-    # "from to" with normal forms that may contain spaces: split at the
-    # boundary before the second 'a'/'b'/'e' run. Simplest reliable rule:
-    # two halves separated by two or more spaces, or a tab.
+    # "from to" with words that may contain spaces: split at the first
+    # tab, else at the first two spaces, else the line must be exactly
+    # two whitespace-separated parts.
     if "\t" in line:
         left, right = line.split("\t", 1)
         return left.strip(), right.strip()

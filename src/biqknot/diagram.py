@@ -194,7 +194,7 @@ def _pass_error(tok: str, pos: int) -> DiagramSyntaxError:
         return DiagramSyntaxError(f"unknown pass token {tok!r}", pos)
     if head == "V":
         return DiagramSyntaxError(f"bad virtual token {tok!r}", pos)
-    if len(tok) < 3 or tok[-1] not in "+-":
+    if tok[-1] not in "+-":
         return DiagramSyntaxError(
             f"classical token {tok!r} needs a trailing sign", pos)
     return DiagramSyntaxError(f"bad crossing id in {tok!r}", pos)

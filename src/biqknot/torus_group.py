@@ -8,14 +8,22 @@ column.  Group elements are identified with the endpoints reached from
 the base vertex (0, 0), written in the normal form a^k b^l with both
 exponents mod 8.
 
-The grid picture alone does not pin the group down: the composition
-order of step words, the orientation phases, and a central holonomy
-picked up when paths with odd displacements are composed are all free
-parameters.  ``Convention`` records one choice of each;
-``calibrate_convention`` selects the choice that reproduces the paper's
-stated products and freezes it.  Those calibration anchors are data:
-``ANCHORS`` holds each as a group word with its stated value, and the
-words are evaluated by ``group_words.eval_text``.
+The grid picture leaves free parameters: the composition order of step
+words, the orientation phases, and a central holonomy picked up when
+paths with odd displacements are composed.  ``Convention`` records one
+choice of each.  Walking the grid under any composition order and
+phases gives the same closed-form law
+
+    a^k b^l . a^m b^n = a^(k + (-1)^l m) b^((-1)^m l + n),
+
+times the central b^4 when l and m are odd under the seam twist, so the
+table is the seam twist's law (``_law``), and the composition order and
+phases only place elements on the grid (``TorusGroup.vertex_of``).  The
+tests walk all 16 grids as the reference.  ``calibrate_convention``
+selects the choice that reproduces the paper's stated products and
+freezes it.  Those calibration anchors are data: ``ANCHORS`` holds each
+as a group word with its stated value, and the words are evaluated by
+``group_words.eval_text``.
 """
 
 from __future__ import annotations
@@ -64,10 +72,10 @@ class SeamTwist(Enum):
 
     FLAT composes paths literally.  CENTRAL_B4 multiplies by the central
     element b^4 whenever a path with odd vertical displacement is
-    followed by a path with odd horizontal displacement.  The flat model
-    cannot reproduce the calibration anchors (no orientation pattern
-    does); the b^4 holonomy is a central correction that can, and
-    calibration verifies that it does.
+    followed by a path with odd horizontal displacement.  The seam twist
+    alone fixes the table: the flat law cannot reproduce the calibration
+    anchors under any composition order or phases; the b^4 holonomy is a
+    central correction that can, and calibration verifies that it does.
     """
 
     FLAT = "flat"
@@ -93,7 +101,8 @@ class Convention:
 
 
 class ConventionInconsistent(Exception):
-    """Endpoint identification clashes with multiplication."""
+    """A table fails verification: it is not a group of order 64 whose
+    generators a and b have order 8."""
 
 
 class NoConventionMatches(Exception):
@@ -121,16 +130,14 @@ ALL_ELEMENTS: Tuple[GroupElement, ...] = tuple(_element(i) for i in range(ORDER)
 class TorusGroup:
     """The built group: 64 elements, full multiplication table, frozen convention."""
 
-    def __init__(self, convention: Convention, mul_table: np.ndarray,
-                 vertex_of: Dict[GroupElement, Vertex]):
+    def __init__(self, convention: Convention, mul_table: np.ndarray):
         self.convention = convention
         self.mul_table = mul_table              # (64, 64) indices
         self.elements = ALL_ELEMENTS
         self.identity = IDENTITY
         self.generator_a = GEN_A
         self.generator_b = GEN_B
-        self._vertex_of = vertex_of
-        self._element_at = {v: g for g, v in vertex_of.items()}
+        self._element_at = {self.vertex_of(g): g for g in ALL_ELEMENTS}
         self.inv_table = np.argmax(mul_table == _index(0, 0), axis=1)
         self._center: Optional[CenterSet] = None
 
@@ -180,7 +187,19 @@ class TorusGroup:
         return g in self.center()
 
     def vertex_of(self, g: GroupElement) -> Vertex:
-        return self._vertex_of[g]
+        """The endpoint of g's canonical word walked from (0, 0).
+
+        Word order walks a^k along row 0, then b^l along column k;
+        function order walks b^l along column 0, then a^k along row l.
+        A line with an odd index runs against its phase.
+        """
+        conv = self.convention
+        rs = 1 if conv.row_phase is RowPhase.EVEN_RIGHT else -1
+        cs = 1 if conv.col_phase is ColPhase.EVEN_UP else -1
+        k, l = g
+        if conv.composition_order is CompositionOrder.WORD:    # a^k first
+            return Vertex(rs * k % GRID, cs * (-1) ** k * l % GRID)
+        return Vertex(rs * (-1) ** l * k % GRID, cs * l % GRID)
 
     def element_at(self, v: Vertex) -> GroupElement:
         return self._element_at[Vertex(v[0] % GRID, v[1] % GRID)]
@@ -195,97 +214,27 @@ class TorusGroup:
 # -- construction ------------------------------------------------------------
 
 
-def _step_permutations(convention: Convention) -> Tuple[np.ndarray, np.ndarray]:
-    """Vertex permutations of one a-step and one b-step; (x, y) is x * GRID + y."""
-    x, y = np.divmod(np.arange(ORDER), GRID)
-    row_sign = 1 if convention.row_phase is RowPhase.EVEN_RIGHT else -1
-    col_sign = 1 if convention.col_phase is ColPhase.EVEN_UP else -1
-    sr = np.where(y % 2 == 0, row_sign, -row_sign)
-    sc = np.where(x % 2 == 0, col_sign, -col_sign)
-    pa = (x + sr) % GRID * GRID + y
-    pb = x * GRID + (y + sc) % GRID
-    return pa, pb
-
-
-def _perm_powers(p: np.ndarray) -> np.ndarray:
-    """Row n is the permutation p applied n times, for n in 0..GRID-1."""
-    powers = [np.arange(ORDER)]
-    for _ in range(GRID - 1):
-        powers.append(p[powers[-1]])
-    return np.stack(powers)
+def _law(seam: SeamTwist) -> np.ndarray:
+    """The seam model's (64, 64) int64 table of indexes, unverified:
+    a^k b^l . a^m b^n = a^(k + (-1)^l m) b^((-1)^m l + n), times b^4 when
+    l and m are odd under CENTRAL_B4."""
+    k, l = np.divmod(np.arange(ORDER, dtype=np.int64), GRID)
+    k, l, m, n = k[:, None], l[:, None], k[None, :], l[None, :]
+    lo = (1 - 2 * (m % 2)) * l + n
+    if seam is SeamTwist.CENTRAL_B4:
+        lo += 4 * (l & m & 1)
+    return (k + (1 - 2 * (l % 2)) * m) % GRID * GRID + lo % GRID
 
 
 def build_group(convention: Convention) -> TorusGroup:
     """Construct the group for one convention and verify it exhaustively.
 
-    Raises ConventionInconsistent (with a witness) if endpoint
-    identification does not yield a well-defined group of 64 elements.
+    Raises ConventionInconsistent (with a witness) if the seam model's
+    table is not a group of 64 elements with generators of order 8.
     """
-    table, vertex_of = _group_table(convention)
+    table = _law(convention.seam_twist)
     _verify_group(table, convention)
-    return TorusGroup(convention, table, vertex_of)
-
-
-def _group_table(convention: Convention
-                 ) -> Tuple[np.ndarray, Dict[GroupElement, Vertex]]:
-    """The multiplication table and the vertex of each element, unverified.
-
-    Raises ConventionInconsistent if endpoints collide or, for the FLAT
-    model, if a product's word action differs from the composed actions.
-    """
-    pa, pb = _step_permutations(convention)
-    word_first = convention.composition_order is CompositionOrder.WORD
-
-    # perms[g] is the vertex permutation realised by the canonical word
-    # a^k b^l of element g = (k, l)
-    pa_pow, pb_pow = _perm_powers(pa), _perm_powers(pb)
-    k, l = np.divmod(np.arange(ORDER), GRID)
-    if word_first:
-        perms = pb_pow[l[:, None], pa_pow[k]]
-    else:
-        perms = pa_pow[k[:, None], pb_pow[l]]
-
-    endpoints = perms[:, 0]  # base vertex (0, 0) has index 0
-    if len(set(endpoints.tolist())) != ORDER:
-        seen: Dict[int, GroupElement] = {}
-        for g, v in zip(ALL_ELEMENTS, endpoints.tolist()):
-            if v in seen:
-                raise ConventionInconsistent(
-                    f"normal forms {seen[v]} and {g} reach the same vertex "
-                    f"{Vertex(*divmod(v, GRID))} from base"
-                )
-            seen[v] = g
-    vertex_of = {g: Vertex(*divmod(v, GRID))
-                 for g, v in zip(ALL_ELEMENTS, endpoints.tolist())}
-    element_at_idx = np.empty(ORDER, dtype=np.int64)
-    element_at_idx[endpoints] = np.arange(ORDER)
-
-    # flat product: translate the second path to start at the first
-    # endpoint; moved[j, i] is the vertex perms[j] sends endpoint i to
-    moved = perms[:, endpoints]
-    flat = element_at_idx[moved.T if word_first else moved]
-
-    if convention.seam_twist is SeamTwist.FLAT:
-        # endpoint identification must agree with permutation identity:
-        # the permutation of a product word must equal the composed
-        # permutations of its factors.  One row of products at a time.
-        for i in range(ORDER):
-            composed = perms[:, perms[i]] if word_first else perms[i][perms]
-            bad = np.nonzero(np.any(composed != perms[flat[i]], axis=1))[0]
-            if len(bad):
-                j = int(bad[0])
-                raise ConventionInconsistent(
-                    f"word action of {ALL_ELEMENTS[i]} then "
-                    f"{ALL_ELEMENTS[j]} differs from the action of "
-                    f"their product {_element(int(flat[i, j]))}"
-                )
-        table = flat
-    else:
-        # central b^4 holonomy on odd-displacement compositions
-        odd = (l[:, None] % 2 == 1) & (k[None, :] % 2 == 1)
-        shifted = flat // GRID * GRID + (flat % GRID + 4) % GRID
-        table = np.where(odd, shifted, flat)
-    return table, vertex_of
+    return TorusGroup(convention, table)
 
 
 def _verify_group(table: np.ndarray, convention: Convention) -> None:
@@ -366,35 +315,22 @@ def all_conventions() -> List[Convention]:
 def calibrate_convention() -> CalibrationResult:
     """Pick the convention reproducing all calibration anchors.
 
-    Every variant is built and anchored, but each distinct table is
-    verified and evaluated once: the 16 variants give only 2 tables, and
-    a report depends on the table alone.  A variant whose construction
-    or verification fails is left out of the reports.  If several match,
-    all are reported and the first in enum order is frozen; if none
-    match, NoConventionMatches is raised.
+    The table depends on the seam twist alone, so each seam model is
+    built, verified and anchored once, and its report stands for every
+    one of the 16 conventions using it.  A seam model that fails
+    verification leaves its conventions out of the reports.  If several
+    match, all are reported and the first in enum order is frozen; if
+    none match, NoConventionMatches is raised.
     """
-    reports: Dict[Convention, AnchorReport] = {}
-    matches: List[Convention] = []
-    by_table: Dict[bytes, Optional[AnchorReport]] = {}
-    for conv in all_conventions():
+    by_seam: Dict[SeamTwist, AnchorReport] = {}
+    for seam in SeamTwist:
         try:
-            table, vertex_of = _group_table(conv)
+            by_seam[seam] = _anchors(build_group(Convention(seam_twist=seam)))
         except ConventionInconsistent:
-            continue
-        key = table.tobytes()
-        if key not in by_table:
-            try:
-                _verify_group(table, conv)
-            except ConventionInconsistent:
-                by_table[key] = None
-            else:
-                by_table[key] = _anchors(TorusGroup(conv, table, vertex_of))
-        rep = by_table[key]
-        if rep is None:
-            continue
-        reports[conv] = rep
-        if rep.matches:
-            matches.append(conv)
+            pass
+    reports = {conv: by_seam[conv.seam_twist] for conv in all_conventions()
+               if conv.seam_twist in by_seam}
+    matches = [conv for conv, rep in reports.items() if rep.matches]
     if not matches:
         raise NoConventionMatches(
             "no convention variant reproduces the calibration anchors"

@@ -9,6 +9,13 @@ the diagram front end as it was written before it was tuned: a scan that
 keeps every token's offset, one walk per derived map, and relations built
 by keyword.  They return plain data (name and passes; steps, arc count and
 over-arc map; relations), so no check of the tuned code runs inside them.
+
+``grid_walk`` builds a convention's group table by walking its oriented
+torus grid: the vertex permutations of an a-step and a b-step, the
+endpoint of each normal form's word, and the product of two elements as
+the endpoint of the second path translated to start where the first one
+ends (with the b^4 seam twist, or, for the flat model, a check that each
+product's word acts as its composed factors).
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -19,7 +26,11 @@ from biqknot.coloring import (ClassicalRelation, HasVirtualPasses,
                               VirtualRelation, build_constraints)
 from biqknot.diagram import (CrossingClass, DiagramSyntaxError, PairingError,
                              Pass, PassKind, _tokenize)
-from biqknot.torus_group import ALL_ELEMENTS, ORDER, GroupElement, _index
+from biqknot.biquandle import _perm_powers
+from biqknot.torus_group import (ALL_ELEMENTS, GRID, ORDER, ColPhase,
+                                 CompositionOrder, Convention,
+                                 ConventionInconsistent, GroupElement, RowPhase,
+                                 SeamTwist, Vertex, _element, _index)
 
 MAX_FREE = 4
 _CHUNK = 1 << 20
@@ -102,7 +113,7 @@ def _parse_pass(tok: str, pos: int) -> Pass:
         if not cid or not cid.isalnum():
             raise DiagramSyntaxError(f"bad virtual token {tok!r}", pos)
         return Pass(PassKind.VIRTUAL, cid, None)
-    if len(tok) < 3 or tok[-1] not in "+-":
+    if tok[-1] not in "+-":
         raise DiagramSyntaxError(
             f"classical token {tok!r} needs a trailing sign", pos)
     cid = tok[1:-1]
@@ -202,3 +213,81 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
                 direction="inv" if visit == 1 else "fwd",
                 in_arc=in_arc, out_arc=out_arc))
     return relations, arc_count
+
+
+# -- torus grid -------------------------------------------------------------------
+
+
+def _step_permutations(convention: Convention) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertex permutations of one a-step and one b-step; (x, y) is x * GRID + y."""
+    x, y = np.divmod(np.arange(ORDER), GRID)
+    row_sign = 1 if convention.row_phase is RowPhase.EVEN_RIGHT else -1
+    col_sign = 1 if convention.col_phase is ColPhase.EVEN_UP else -1
+    sr = np.where(y % 2 == 0, row_sign, -row_sign)
+    sc = np.where(x % 2 == 0, col_sign, -col_sign)
+    pa = (x + sr) % GRID * GRID + y
+    pb = x * GRID + (y + sc) % GRID
+    return pa, pb
+
+
+def grid_walk(convention: Convention
+              ) -> Tuple[np.ndarray, Dict[GroupElement, Vertex]]:
+    """The multiplication table and the vertex of each element, unverified,
+    from walking the oriented grid of one convention.
+
+    Raises ConventionInconsistent if endpoints collide or, for the FLAT
+    model, if a product's word action differs from the composed actions.
+    """
+    pa, pb = _step_permutations(convention)
+    word_first = convention.composition_order is CompositionOrder.WORD
+
+    # perms[g] is the vertex permutation realised by the canonical word
+    # a^k b^l of element g = (k, l)
+    pa_pow, pb_pow = _perm_powers(pa), _perm_powers(pb)
+    k, l = np.divmod(np.arange(ORDER), GRID)
+    if word_first:
+        perms = pb_pow[l[:, None], pa_pow[k]]
+    else:
+        perms = pa_pow[k[:, None], pb_pow[l]]
+
+    endpoints = perms[:, 0]  # base vertex (0, 0) has index 0
+    if len(set(endpoints.tolist())) != ORDER:
+        seen: Dict[int, GroupElement] = {}
+        for g, v in zip(ALL_ELEMENTS, endpoints.tolist()):
+            if v in seen:
+                raise ConventionInconsistent(
+                    f"normal forms {seen[v]} and {g} reach the same vertex "
+                    f"{Vertex(*divmod(v, GRID))} from base"
+                )
+            seen[v] = g
+    vertex_of = {g: Vertex(*divmod(v, GRID))
+                 for g, v in zip(ALL_ELEMENTS, endpoints.tolist())}
+    element_at_idx = np.empty(ORDER, dtype=np.int64)
+    element_at_idx[endpoints] = np.arange(ORDER)
+
+    # flat product: translate the second path to start at the first
+    # endpoint; moved[j, i] is the vertex perms[j] sends endpoint i to
+    moved = perms[:, endpoints]
+    flat = element_at_idx[moved.T if word_first else moved]
+
+    if convention.seam_twist is SeamTwist.FLAT:
+        # endpoint identification must agree with permutation identity:
+        # the permutation of a product word must equal the composed
+        # permutations of its factors.  One row of products at a time.
+        for i in range(ORDER):
+            composed = perms[:, perms[i]] if word_first else perms[i][perms]
+            bad = np.nonzero(np.any(composed != perms[flat[i]], axis=1))[0]
+            if len(bad):
+                j = int(bad[0])
+                raise ConventionInconsistent(
+                    f"word action of {ALL_ELEMENTS[i]} then "
+                    f"{ALL_ELEMENTS[j]} differs from the action of "
+                    f"their product {_element(int(flat[i, j]))}"
+                )
+        table = flat
+    else:
+        # central b^4 holonomy on odd-displacement compositions
+        odd = (l[:, None] % 2 == 1) & (k[None, :] % 2 == 1)
+        shifted = flat // GRID * GRID + (flat % GRID + 4) % GRID
+        table = np.where(odd, shifted, flat)
+    return table, vertex_of

@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from biqknot import coloring, torus_group
@@ -367,6 +368,61 @@ def test_directory_as_diagram_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "color", str(tmp_path), "--start", "a")
     assert code == 2
     assert err.startswith("error: ")
+
+
+# argv pieces: subcommands, flags, words, f specs, builtins, and the
+# stand-ins "<...>" for the temp files made by _argv_files
+_ARGV_PREFIXES = [[], ["group"], ["group", "eval"], ["audit"], ["color"],
+                  ["distinguish"]]
+_ARGV_PIECES = [
+    "group", "eval", "center", "table", "parity-table", "calibrate",
+    "audit", "color", "distinguish", "--format", "json", "text", "--n",
+    "--f", "--start", "--end", "--help", "-x", "--", "",
+    "a", "b", "e", "ab", "a b^2", "(ab)^-3 a (ab)^3", "b^-2", "a^", "((a)",
+    "x", "\u00b2", "a^" + "9" * 30, "0", "1", "-1", "7", "99999999999",
+    "substitution", "shear", "table:", "bogus",
+    "builtin:right-trefoil", "builtin:left-trefoil", "builtin:nope",
+    "<diagram>", "<bad-diagram>", "<binary>", "<f-table>", "table:<f-table>",
+    "table:<bad-f-table>", "table:<binary>", "<dir>", "table:<dir>",
+    "<missing>", "table:<missing>"]
+
+
+@pytest.fixture(scope="module")
+def _argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {"<diagram>": "longknot t\nO1+ U2+ V1 O2+ U1+ V1\n",
+             "<bad-diagram>": "longknot t\nO1+ U1-\n",
+             "<f-table>": "".join(f"{format_normal(g)}\t{format_normal(g)}\n"
+                                  for g in ALL_ELEMENTS),
+             "<bad-f-table>": "a\ta\nb^x  b\n"}
+    paths = {"<dir>": str(root), "<missing>": str(root / "missing.txt")}
+    for name, text in files.items():
+        path = root / f"{name.strip('<>')}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    path = root / "binary.txt"
+    path.write_bytes(b"\xfflongknot\x00\xc3")
+    paths["<binary>"] = str(path)
+    return paths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]),
+       st.sampled_from(_ARGV_PREFIXES),
+       st.lists(st.sampled_from(_ARGV_PIECES), max_size=6))
+def test_main_argv_fuzz(_argv_files, fmt, prefix, tail):
+    # any argv ends in exit 0, 1 or 2, never 3; argparse's SystemExit
+    # counts by its code
+    argv = fmt + prefix + tail
+    for stand_in, path in _argv_files.items():
+        argv = [arg.replace(stand_in, path) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
 
 
 def test_readme_commands_golden(capsys, tmp_path, monkeypatch):

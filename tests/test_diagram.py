@@ -48,6 +48,8 @@ def test_parse_errors():
         parse_diagram("longknot x\nO1\n")  # missing sign
     with pytest.raises(DiagramSyntaxError):
         parse_diagram("longknot x\nV\n")   # missing id
+    with pytest.raises(DiagramSyntaxError, match=r"^bad crossing id in 'O\+'"):
+        parse_diagram("longknot x\nO+\n")  # sign but no id
 
 
 def test_pairing_errors():

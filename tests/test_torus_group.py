@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 from biqknot import torus_group
 from biqknot.group_words import eval_text
 from biqknot.torus_group import (
@@ -19,7 +20,6 @@ from biqknot.torus_group import (
     TorusGroup,
     Vertex,
     _anchors,
-    _group_table,
     _index,
     _stated_parity_value,
     _verify_group,
@@ -219,6 +219,13 @@ def test_every_convention_matches_closed_form_law(conv):
                          for x in ALL_ELEMENTS])
     assert np.array_equal(g.mul_table, expected)
     assert g.mul_table.dtype == np.int64   # verification reads a uint8 copy
+    # the grid walk of this convention gives the same table and vertices
+    walked, vertex_of = oracle.grid_walk(conv)
+    assert np.array_equal(g.mul_table, walked)
+    assert g.mul_table.dtype == walked.dtype
+    assert {x: g.vertex_of(x) for x in ALL_ELEMENTS} == vertex_of
+    for x, v in vertex_of.items():
+        assert g.element_at(v) == x
     assert eval_text("b^-2", g) == GroupElement(0, 6)
     ar = np.arange(ORDER)
     assert np.array_equal(g.mul_table[ar, g.inv_table], np.zeros(ORDER))
@@ -262,8 +269,7 @@ def test_parity_report_matches_loop(group):
     sigma = np.concatenate([[0], 1 + rng.permutation(ORDER - 1)])
     relabeled = np.empty_like(group.mul_table)
     relabeled[sigma[:, None], sigma[None, :]] = sigma[group.mul_table]
-    groups.append(TorusGroup(group.convention, relabeled,
-                             {g: group.vertex_of(g) for g in ALL_ELEMENTS}))
+    groups.append(TorusGroup(group.convention, relabeled))
     assert groups[-1].parity_table().mismatches
     for g in groups:
         rep = g.parity_table()
@@ -300,17 +306,20 @@ def test_calibration_equals_per_variant_reference():
 
 
 def test_calibration_verifies_each_distinct_table_once(monkeypatch):
-    distinct = {_group_table(conv)[0].tobytes() for conv in all_conventions()}
+    distinct = {oracle.grid_walk(conv)[0].tobytes() for conv in all_conventions()}
     assert len(distinct) == 2
     calls = []
 
     def spy(table, convention):
-        calls.append(table.tobytes())
+        calls.append((table.tobytes(), convention.seam_twist))
         return _verify_group(table, convention)
 
     monkeypatch.setattr(torus_group, "_verify_group", spy)
     calibrate_convention()
-    assert sorted(calls) == sorted(distinct)
+    # once per seam model, on the walk's two distinct tables
+    assert sorted(seam.value for _, seam in calls) == sorted(
+        seam.value for seam in SeamTwist)
+    assert sorted(table for table, _ in calls) == sorted(distinct)
 
 
 def _cyclic_table():
@@ -328,22 +337,23 @@ def _loop_table():
 
 
 def test_calibration_skips_a_variant_that_fails_verification(monkeypatch):
-    _, reports = _calibrate_per_variant()
-    broken = Convention(CompositionOrder.FUNCTION, RowPhase.EVEN_LEFT,
-                        ColPhase.EVEN_UP, SeamTwist.CENTRAL_B4)
+    matches, reports = _calibrate_per_variant()
+    law = torus_group._law
 
-    def patched(conv):
-        table, vertex_of = _group_table(conv)
-        return (_loop_table(), vertex_of) if conv == broken else (table, vertex_of)
+    def patched(seam):
+        return _loop_table() if seam is SeamTwist.FLAT else law(seam)
 
-    monkeypatch.setattr(torus_group, "_group_table", patched)
+    monkeypatch.setattr(torus_group, "_law", patched)
     cal = calibrate_convention()
-    assert broken not in cal.reports
-    del reports[broken]
+    flat = [c for c in all_conventions() if c.seam_twist is SeamTwist.FLAT]
+    assert len(flat) == 8
+    for conv in flat:
+        assert conv not in cal.reports
+        del reports[conv]
     assert cal.reports == reports
     assert list(cal.reports) == list(reports)
     assert cal.convention == Convention()
-    assert broken not in cal.matches and len(cal.matches) == 7
+    assert cal.matches == matches and len(cal.matches) == 8
 
 
 # -- _verify_group rejections ----------------------------------------------------
