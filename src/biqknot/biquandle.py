@@ -2,7 +2,8 @@
 
 Two binary operations are carried as full 64x64 tables: conjugation
 x o y = y x y^-1 and twisted conjugation x * y = y^(n+1) x y^-(n+1),
-together with their right divisions.  An optional unary bijection-like
+together with their right divisions, in one stack indexed by table id
+(table k's right division is table k ^ 2).  An optional unary bijection-like
 map f (with inverse when it has one) completes the structure.  ``audit``
 sweeps every axiom over its full quantifier domain and reports failures
 as data with counterexamples; nothing aborts, since documenting which
@@ -173,7 +174,9 @@ def make_f(group: TorusGroup, kind: FKind,
     raise ValueError(f"unknown f kind: {kind}")
 
 
-OpName = str  # 'circ', 'star', 'circ_div', 'star_div'
+# The four operation tables, by table id: table k's right division is
+# table k ^ 2.
+_OP_NAMES: Tuple[str, ...] = ("circ", "star", "circ_div", "star_div")
 
 
 class SolveIndexes(NamedTuple):
@@ -187,7 +190,13 @@ class SolveIndexes(NamedTuple):
 
 
 class Biquandle:
-    """Carrier-indexed operation tables over a built group."""
+    """Carrier-indexed operation tables over a built group.
+
+    ``tables`` stacks the four tables in ``_OP_NAMES`` order, so table
+    k's right division is table k ^ 2; ``circ_table`` and the other
+    per-name attributes are views into it.  ``flat`` holds the stack as
+    bytes, entry (k * 64 + x) * 64 + y, for lookups by Python int.
+    """
 
     def __init__(self, group: TorusGroup, n_twist: int):
         if n_twist < 1:
@@ -195,13 +204,15 @@ class Biquandle:
         self.group = group
         self.n_twist = n_twist
         self.carrier = ALL_ELEMENTS
-        self.circ_table = self._conjugation_table(1)
-        self.star_table = self._conjugation_table(n_twist + 1)
-        self.circ_div_table = _solve_division(self.circ_table)
-        self.star_div_table = _solve_division(self.star_table)
+        circ = self._conjugation_table(1)
+        star = self._conjugation_table(n_twist + 1)
+        self.tables = np.stack([circ, star, _solve_division(circ),
+                                _solve_division(star)])
+        (self.circ_table, self.star_table,
+         self.circ_div_table, self.star_div_table) = self.tables
+        self.flat = self.tables.astype(np.uint8).tobytes()
         self.f: Optional[FCandidate] = None
-        self._solve_indexes: Dict[OpName, SolveIndexes] = {}
-        self._flat_tables: Dict[OpName, bytes] = {}
+        self._solve_indexes: Dict[int, SolveIndexes] = {}
 
     def _conjugation_table(self, power: int) -> np.ndarray:
         """t[x, y] = y^p x y^-p, with y^p by square-and-multiply on all y."""
@@ -215,40 +226,27 @@ class Biquandle:
             power >>= 1
         return m[m[yp[None, :], ar[:, None]], self.group.inv_table[yp][None, :]]
 
-    def solve_indexes(self, which: OpName) -> SolveIndexes:
-        """Indexes that solve t[x, y] = z for an unknown argument (built once)."""
-        if which not in self._solve_indexes:
-            t = self._table(which)
+    def solve_indexes(self, k: int) -> SolveIndexes:
+        """Indexes that solve t[x, y] = z for an unknown argument, t the
+        table of id k (built once)."""
+        if k not in self._solve_indexes:
+            t = self.tables[k]
             ar = np.arange(ORDER)
             fx, fy = np.nonzero(t == ar[None, :])
-            self._solve_indexes[which] = SolveIndexes(
+            self._solve_indexes[k] = SolveIndexes(
                 over=_csr((ar[:, None] * ORDER + t).ravel(),
                           np.tile(ar, ORDER), ORDER * ORDER),
                 fixed=_csr(fx, fy, ORDER),
                 diagonal=_csr(t[ar, ar], ar, ORDER))
-        return self._solve_indexes[which]
-
-    def flat_table(self, which: OpName) -> bytes:
-        """One table as bytes, entry x * 64 + y, for lookups by Python int
-        (built once)."""
-        if which not in self._flat_tables:
-            self._flat_tables[which] = self._table(which).astype(np.uint8).tobytes()
-        return self._flat_tables[which]
+        return self._solve_indexes[k]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
         self.f = candidate
         return self
 
-    def _table(self, which: OpName) -> np.ndarray:
-        try:
-            return {"circ": self.circ_table, "star": self.star_table,
-                    "circ_div": self.circ_div_table,
-                    "star_div": self.star_div_table}[which]
-        except KeyError:
-            raise ValueError(f"unknown operation {which!r}") from None
-
-    def op(self, which: OpName, x: GroupElement, y: GroupElement) -> GroupElement:
-        return _element(int(self._table(which)[_index(*x), _index(*y)]))
+    def op(self, which: str, x: GroupElement, y: GroupElement) -> GroupElement:
+        t = self.tables[_OP_NAMES.index(which)]
+        return _element(int(t[_index(*x), _index(*y)]))
 
     def circ(self, x, y):
         return self.op("circ", x, y)
@@ -261,20 +259,6 @@ class Biquandle:
 
     def star_div(self, x, y):
         return self.op("star_div", x, y)
-
-    def apply_f(self, direction: str, x: GroupElement) -> GroupElement:
-        if self.f is None:
-            raise MissingF("no f candidate attached")
-        if direction == "fwd":
-            return self.f(x)
-        if direction == "inv":
-            if self.f.inverse_table is None:
-                raise ValueError(
-                    f"f candidate {self.f.name!r} is not a bijection; "
-                    "use f.preimages()"
-                )
-            return _element(int(self.f.inverse_table[_index(*x)]))
-        raise ValueError(f"direction must be 'fwd' or 'inv', got {direction!r}")
 
 
 def _solve_division(table: np.ndarray) -> np.ndarray:
@@ -355,9 +339,6 @@ class AxiomReport:
         }
 
 
-_OP_NAMES: Tuple[OpName, ...] = ("circ", "star", "circ_div", "star_div")
-
-
 def _first_bad(mask_bad: np.ndarray) -> Optional[Tuple[int, ...]]:
     """Index of the first True entry in C order, or None."""
     i = int(mask_bad.argmax())
@@ -386,7 +367,7 @@ def audit(bq: Biquandle) -> AxiomReport:
     rng = np.arange(ORDER)
     # uint8 copies: the sweeps' 64^3 temporaries stay small enough for the
     # allocator to reuse instead of returning them to the OS every sweep.
-    tab = {op: bq._table(op).astype(np.uint8) for op in _OP_NAMES}
+    tab = dict(zip(_OP_NAMES, bq.tables.astype(np.uint8)))
 
     for opname in ("circ", "star"):
         t = tab[opname]

@@ -7,12 +7,16 @@ the first visit to a virtual crossing pulls back through f, the second
 pushes forward.  Those direction choices, like the builtin diagrams,
 were calibrated once against the reference trefoil chain and frozen.
 
-One iterative solver finds every coloring.  It plans the relations once,
-from which arcs are known: checks, ``circ``/``star`` forward, the right
-division backward and f forward come first; when none applies, one
-relation branches through a precomputed index (f preimages, or every
-over-arc color y with t[x, y] = z), and guessing all 64 colors of an
-over arc is the last resort.  While the only partial coloring is the
+``build_constraints`` walks the passes once and emits each relation
+together with its equation t[x, y] = z, t named by its table id in the
+biquandle's stack, where table k's right division is table k ^ 2.
+
+One iterative solver finds every coloring.  It plans the equations
+once, from which arcs are known: checks, table k forward, table k ^ 2
+backward and f forward come first; when none applies, one equation
+branches through a precomputed index (f preimages, or every over-arc
+color y with t[x, y] = z), and guessing all 64 colors of an over arc is
+the last resort.  While the only partial coloring is the
 pinned one, the planner folds each deterministic step: it evaluates the
 step on Python ints instead of emitting it, so a chain that never
 branches costs no numpy call.  From the first branch on, the plan runs
@@ -24,13 +28,13 @@ is its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from .biquandle import (Biquandle, FCandidate, FKind, MissingF,
+from .biquandle import (_OP_NAMES, Biquandle, FCandidate, FKind, MissingF,
                         _audit_candidate, make_f)
 from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
                       builtin_trefoil)
@@ -41,16 +45,14 @@ from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
 
 _UNDER, _VIRTUAL = PassKind.UNDER, PassKind.VIRTUAL
 _EARLY_OVER = CrossingClass.EARLY_OVER
+_CIRC, _STAR = _OP_NAMES.index("circ"), _OP_NAMES.index("star")
 
 
 class HasVirtualPasses(Exception):
     """Classical-only mode was asked to color a diagram with virtual passes."""
 
 
-# Not frozen: a frozen slots dataclass costs ~4x as much to build, and a
-# long chain builds one relation per crossing.  Treat them as immutable.
-@dataclass(slots=True, unsafe_hash=True)
-class ClassicalRelation:
+class ClassicalRelation(NamedTuple):
     crossing_id: str
     op: str                  # 'circ' or 'star'
     in_arc: int
@@ -58,8 +60,7 @@ class ClassicalRelation:
     over_arc: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class VirtualRelation:
+class VirtualRelation(NamedTuple):
     crossing_id: str
     visit: int               # 1 or 2, in traversal order
     direction: str           # 'inv' (f(out) = in) or 'fwd' (f(in) = out)
@@ -72,8 +73,17 @@ Relation = Union[ClassicalRelation, VirtualRelation]
 
 @dataclass(frozen=True)
 class ConstraintSet:
+    """The relations of a diagram, in traversal order, and its arc count.
+
+    ``equations`` holds each relation as the planner reads it, t[x, y] = z
+    written (x, y, z, k): k is the table id of a classical crossing's
+    operation, and (x, None, z, None) stands for f(x) = z at a virtual
+    pass.
+    """
+
     relations: Tuple[Relation, ...]
     arc_count: int
+    equations: Tuple[tuple, ...] = field(repr=False, compare=False)
 
 
 def build_constraints(d: LongDiagram, bq: Biquandle,
@@ -96,27 +106,36 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
         raise MissingF(
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
-    early_under_op = "circ" if quandle_only else "star"
+    early_under = _CIRC if quandle_only else _STAR
     relations: List[Relation] = []
-    append = relations.append
+    equations: List[tuple] = []
+    relation, equation = relations.append, equations.append
+    # tuple.__new__ skips the NamedTuples' Python-level __new__
+    new = tuple.__new__
     visited = set()
     # the k-th under or virtual pass runs from arc k to arc k + 1
     arc = 1
     for kind, cid, _ in passes:
         if kind is _UNDER:
+            over = over_arcs[cid]
             # an identity test: Enum.__hash__ runs in Python
-            op = "circ" if classes[cid] is _EARLY_OVER else early_under_op
-            append(ClassicalRelation(cid, op, arc, arc + 1, over_arcs[cid]))
+            k = _CIRC if classes[cid] is _EARLY_OVER else early_under
+            relation(new(ClassicalRelation,
+                         (cid, _OP_NAMES[k], arc, arc + 1, over)))
+            equation((arc, over, arc + 1, k))
             arc += 1
         elif kind is _VIRTUAL:
             if cid in visited:
-                append(VirtualRelation(cid, 2, "fwd", arc, arc + 1))
+                relation(new(VirtualRelation, (cid, 2, "fwd", arc, arc + 1)))
+                equation((arc, None, arc + 1, None))
             else:
                 visited.add(cid)
-                append(VirtualRelation(cid, 1, "inv", arc, arc + 1))
+                relation(new(VirtualRelation, (cid, 1, "inv", arc, arc + 1)))
+                equation((arc + 1, None, arc, None))
             arc += 1
     return ConstraintSet(relations=tuple(relations),
-                         arc_count=assignment.arc_count)
+                         arc_count=assignment.arc_count,
+                         equations=tuple(equations))
 
 
 Coloring = Tuple[GroupElement, ...]
@@ -181,36 +200,23 @@ _ALL_COLORS = (np.array([0, ORDER], dtype=np.intp),
                np.arange(ORDER, dtype=np.intp))
 
 
-def _equations(cs: ConstraintSet, bq: Biquandle) -> List[tuple]:
-    """Each relation as t[x, y] = z: (x, y, z, op) for a classical
-    crossing, (x, None, z, None) for f(x) = z at a virtual pass."""
-    eqs = []
-    for r in cs.relations:
-        if isinstance(r, ClassicalRelation):
-            eqs.append((r.in_arc, r.over_arc, r.out_arc, r.op))
-        elif bq.f is None:
-            raise MissingF("constraints contain virtual relations but no f is attached")
-        elif r.direction == "fwd":
-            eqs.append((r.in_arc, None, r.out_arc, None))
-        else:
-            eqs.append((r.out_arc, None, r.in_arc, None))
-    return eqs
-
-
 def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
           ) -> Optional[Tuple[Optional[List[tuple]], Union[list, np.ndarray]]]:
     """Order the relations into steps, from which arcs are known, folding
     the steps of a one-column frontier.
 
     ``pins`` maps each pinned arc to its colors, one per start column.
-    Passes over the pending relations, alternately forward and backward,
-    take every deterministic step: a check, ``circ``/``star`` forward,
-    the right division backward, f forward.  Only when a pass finds none
-    does one relation branch, through a CSR index if one applies, else by
-    guessing all 64 colors of an over arc.
+    Passes over the pending equations (x, y, z, k) of ``cs.equations``,
+    alternately forward and backward, take every deterministic step: a
+    check, ``tables[k]`` forward, its right division ``tables[k ^ 2]``
+    backward, f forward.  Only when a pass finds none does one equation
+    branch, through a CSR index if one applies, else by guessing all 64
+    colors of an over arc.  Raises MissingF if an equation needs f and
+    the biquandle has none.
 
     While every pin has one color, a deterministic step is folded:
-    evaluated here on Python ints, not emitted.  A folded check that
+    evaluated here on Python ints, through ``bq.flat`` entry
+    (k * 64 + x) * 64 + y or f's bytes, not emitted.  A folded check that
     fails means no coloring: the result is None.  Folding stops for good
     at the first branch, where the folded row becomes a one-column start
     frontier.  Returns the steps and their start frontier front[arc, col]
@@ -228,44 +234,41 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
                          dtype=np.intp)
         for a, c in pins.items():
             front[a] = c
-    # (numpy table for steps, flat copy for folding)
-    flat = bq.flat_table
-    tables = {"circ": ((bq.circ_table, flat("circ")),
-                       (bq.circ_div_table, flat("circ_div"))),
-              "star": ((bq.star_table, flat("star")),
-                       (bq.star_div_table, flat("star_div")))}
-    ft = (bq.f.table, bq.f.flat_table()) if bq.f is not None else None
+    tables, flat = bq.tables, bq.flat
+    if bq.f is not None:
+        f_table, f_flat = bq.f.table, bq.f.flat_table()
+    elif any(k is None for *_, k in cs.equations):
+        raise MissingF("constraints contain virtual relations but no f is attached")
     steps: List[tuple] = []
-    pending = _equations(cs, bq)
+    pending = list(cs.equations)
     forward = True
     while pending:
         rest = []
         for eq in (pending if forward else reversed(pending)):
-            x, y, z, op = eq
-            if op is None:
+            x, y, z, k = eq
+            if k is None:
                 if val[x] is None:
                     rest.append(eq)
                     continue
-                t = ft
             elif val[y] is None:
                 rest.append(eq)
                 continue
-            elif val[x] is not None:
-                t = tables[op][0]
-            elif val[z] is not None:
-                t = tables[op][1]
-                x, z = z, x          # the right division solves for x
-            else:
-                rest.append(eq)
-                continue
+            elif val[x] is None:
+                if val[z] is None:
+                    rest.append(eq)
+                    continue
+                k ^= 2               # the right division solves for x
+                x, z = z, x
             if fold:
-                got = t[1][val[x] if y is None else val[x] * ORDER + val[y]]
+                got = (f_flat[val[x]] if k is None
+                       else flat[(k * ORDER + val[x]) * ORDER + val[y]])
                 if val[z] is None:
                     val[z] = got
                 elif val[z] != got:
                     return None
                 continue
-            steps.append((_SET if val[z] is None else _CHECK, z, t[0], x, y))
+            steps.append((_SET if val[z] is None else _CHECK, z,
+                          f_table if k is None else tables[k], x, y))
             val[z] = _COLUMN
         if not forward:
             rest.reverse()
@@ -296,17 +299,17 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
     guess.
     """
     for eq in pending:
-        x, y, z, op = eq
+        x, y, z, k = eq
         known_x, known_z = val[x] is not None, val[z] is not None
-        if op is None:
+        if k is None:
             if known_z:
                 return (_EXPAND, x, bq.f.preimage_index(), z, None), eq
         elif known_x and known_z:
-            return (_EXPAND, y, bq.solve_indexes(op).over, x, z), eq
+            return (_EXPAND, y, bq.solve_indexes(k).over, x, z), eq
         elif known_x and y == z:
-            return (_EXPAND, z, bq.solve_indexes(op).fixed, x, None), eq
+            return (_EXPAND, z, bq.solve_indexes(k).fixed, x, None), eq
         elif known_z and y == x:
-            return (_EXPAND, x, bq.solve_indexes(op).diagonal, z, None), eq
+            return (_EXPAND, x, bq.solve_indexes(k).diagonal, z, None), eq
     return (_EXPAND, pending[0][1], _ALL_COLORS, None, None), None
 
 

@@ -23,9 +23,10 @@ virtual pass, so arc count = unders + virtual passes + 1.
 Each stage walks the passes once: ``parse_diagram`` checks and builds
 each pass token in one loop (a head-letter lookup, the sign, then
 ``str.isalnum`` on the id), and finds the offset of a bad token only
-when it rejects a text; ``arcs`` records the arc count and, per
-classical crossing, the over pass's arc and the crossing's class, with
-no per-pass record.
+when it rejects a text; the pairing check every ``LongDiagram`` makes
+records, along the same walk, the arc count and, per classical crossing,
+the over pass's arc and the crossing's class, with no per-pass record.
+``arcs`` hands that record out read-only, without a walk of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 
 _TOKEN = re.compile(r"\S+")
@@ -75,43 +77,63 @@ class PairingError(ValueError):
     """Crossing passes do not pair up correctly."""
 
 
+@dataclass(frozen=True, slots=True)
+class ArcAssignment:
+    """The arc count of a diagram's passes, and per classical crossing id
+    the arc of its over pass and its class; read-only, made by the
+    diagram's pairing check and handed out by ``arcs``.
+
+    Arcs are numbered 1..arc_count in traversal order: the k-th under or
+    virtual pass runs from arc k to arc k + 1, and an over pass lies on
+    the arc the traversal is on.
+    """
+
+    passes: Tuple[Pass, ...]
+    arc_count: int
+    over_arcs: Mapping[str, int] = field(repr=False, compare=False)
+    classes: Mapping[str, CrossingClass] = field(repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class LongDiagram:
     name: str
     passes: Tuple[Pass, ...]
+    _arcs: ArcAssignment = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_pairing(self.passes)
+        object.__setattr__(self, "_arcs", _pair_passes(self.passes))
 
     @property
     def arc_count(self) -> int:
-        breaks = sum(1 for p in self.passes if p.kind is not PassKind.OVER)
-        return breaks + 1
-
-    def virtual_ids(self) -> List[str]:
-        """Each virtual crossing id once, in order of its first pass."""
-        return list(dict.fromkeys(
-            p.crossing_id for p in self.passes if p.kind is _VIRTUAL))
+        return self._arcs.arc_count
 
     def has_virtual(self) -> bool:
         return any(p.kind is PassKind.VIRTUAL for p in self.passes)
 
 
-def _check_pairing(passes: Tuple[Pass, ...]) -> None:
+def _pair_passes(passes: Tuple[Pass, ...]) -> ArcAssignment:
     """Raise the first pairing error: a repeated pass in traversal order,
-    then lonely classical ids, a sign mismatch, a virtual id passed once."""
+    then lonely classical ids, a sign mismatch, a virtual id passed once.
+    Else return the passes' arc assignment, recorded along the same walk."""
     overs: Dict[str, str] = {}
     unders: Dict[str, str] = {}
     virtuals: Dict[str, int] = {}
+    over_arcs: Dict[str, int] = {}
+    classes: Dict[str, CrossingClass] = {}
+    arc = 1
     for kind, cid, sign in passes:
         if kind is _OVER:
             if cid in overs:
                 raise PairingError(f"crossing {cid!r} has two over passes")
             overs[cid] = sign
-        elif kind is _UNDER:
+            over_arcs[cid] = arc
+            continue
+        arc += 1
+        if kind is _UNDER:
             if cid in unders:
                 raise PairingError(f"crossing {cid!r} has two under passes")
             unders[cid] = sign
+            classes[cid] = _EARLY_OVER if cid in overs else _EARLY_UNDER
         elif cid in virtuals:
             if virtuals[cid] == 2:
                 raise PairingError(
@@ -132,6 +154,9 @@ def _check_pairing(passes: Tuple[Pass, ...]) -> None:
         half = sorted(cid for cid, n in virtuals.items() if n != 2)
         raise PairingError(
             f"virtual crossing(s) not passed exactly twice: {half}")
+    return ArcAssignment(passes=passes, arc_count=arc,
+                         over_arcs=MappingProxyType(over_arcs),
+                         classes=MappingProxyType(classes))
 
 
 def parse_diagram(text: str) -> LongDiagram:
@@ -211,43 +236,14 @@ def serialize(d: LongDiagram) -> str:
     return f"longknot {d.name}\n{body}\n" if toks else f"longknot {d.name}\n"
 
 
-def classify(d: LongDiagram) -> Dict[str, CrossingClass]:
+def classify(d: LongDiagram) -> Mapping[str, CrossingClass]:
     """EarlyOver iff the over pass precedes the under pass in traversal."""
     return arcs(d).classes
 
 
-@dataclass(frozen=True)
-class ArcAssignment:
-    """The arc count of a diagram's passes, and per classical crossing id
-    the arc of its over pass and its class; made by ``arcs``.
-
-    Arcs are numbered 1..arc_count in traversal order: the k-th under or
-    virtual pass runs from arc k to arc k + 1, and an over pass lies on
-    the arc the traversal is on.
-    """
-
-    passes: Tuple[Pass, ...]
-    arc_count: int
-    over_arcs: Dict[str, int] = field(repr=False, compare=False)
-    classes: Dict[str, CrossingClass] = field(repr=False, compare=False)
-
-
 def arcs(d: LongDiagram) -> ArcAssignment:
     """Sequential arc indices 1..m; a new arc starts after U and V passes."""
-    arc = 1
-    over_arcs: Dict[str, int] = {}
-    classes: Dict[str, CrossingClass] = {}
-    for kind, cid, _ in d.passes:
-        if kind is _OVER:
-            over_arcs[cid] = arc
-            if cid not in classes:
-                classes[cid] = _EARLY_OVER
-        else:
-            arc += 1
-            if kind is _UNDER and cid not in classes:
-                classes[cid] = _EARLY_UNDER
-    return ArcAssignment(passes=d.passes, arc_count=arc,
-                         over_arcs=over_arcs, classes=classes)
+    return d._arcs
 
 
 # -- builtin diagrams ----------------------------------------------------------

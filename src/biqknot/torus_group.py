@@ -137,7 +137,6 @@ class TorusGroup:
         self.identity = IDENTITY
         self.generator_a = GEN_A
         self.generator_b = GEN_B
-        self._element_at = {self.vertex_of(g): g for g in ALL_ELEMENTS}
         self.inv_table = np.argmax(mul_table == _index(0, 0), axis=1)
         self._center: Optional[CenterSet] = None
 
@@ -200,9 +199,6 @@ class TorusGroup:
         if conv.composition_order is CompositionOrder.WORD:    # a^k first
             return Vertex(rs * k % GRID, cs * (-1) ** k * l % GRID)
         return Vertex(rs * (-1) ** l * k % GRID, cs * l % GRID)
-
-    def element_at(self, v: Vertex) -> GroupElement:
-        return self._element_at[Vertex(v[0] % GRID, v[1] % GRID)]
 
     def parity_table(self) -> "ParityReport":
         return _parity_report(self)

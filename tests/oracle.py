@@ -10,6 +10,10 @@ keeps every token's offset, one walk per derived map, and relations built
 by keyword.  They return plain data (name and passes; steps, arc count and
 over-arc map; relations), so no check of the tuned code runs inside them.
 
+``equations`` is the rule that turns relations into the planner's
+equations, and ``apply_f``, ``virtual_ids`` and ``element_at`` are
+lookups only the tests make.
+
 ``grid_walk`` builds a convention's group table by walking its oriented
 torus grid: the vertex permutations of an a-step and a b-step, the
 endpoint of each normal form's word, and the product of two elements as
@@ -26,7 +30,7 @@ from biqknot.coloring import (ClassicalRelation, HasVirtualPasses,
                               VirtualRelation, build_constraints)
 from biqknot.diagram import (CrossingClass, DiagramSyntaxError, PairingError,
                              Pass, PassKind, _tokenize)
-from biqknot.biquandle import _perm_powers
+from biqknot.biquandle import MissingF, _perm_powers
 from biqknot.torus_group import (ALL_ELEMENTS, GRID, ORDER, ColPhase,
                                  CompositionOrder, Convention,
                                  ConventionInconsistent, GroupElement, RowPhase,
@@ -213,6 +217,50 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
                 direction="inv" if visit == 1 else "fwd",
                 in_arc=in_arc, out_arc=out_arc))
     return relations, arc_count
+
+
+def equations(relations) -> List[tuple]:
+    """Each relation as t[x, y] = z: (x, y, z, k) for a classical
+    crossing, k the table id of its operation (circ 0, star 1), and
+    (x, None, z, None) for f(x) = z at a virtual pass."""
+    eqs = []
+    for r in relations:
+        if isinstance(r, ClassicalRelation):
+            eqs.append((r.in_arc, r.over_arc, r.out_arc,
+                        {"circ": 0, "star": 1}[r.op]))
+        elif r.direction == "fwd":
+            eqs.append((r.in_arc, None, r.out_arc, None))
+        else:
+            eqs.append((r.out_arc, None, r.in_arc, None))
+    return eqs
+
+
+def virtual_ids(d) -> List[str]:
+    """Each virtual crossing id once, in order of its first pass."""
+    return list(dict.fromkeys(
+        p.crossing_id for p in d.passes if p.kind is PassKind.VIRTUAL))
+
+
+def apply_f(bq, direction: str, x: GroupElement) -> GroupElement:
+    """f(x) for 'fwd', its preimage under a bijective f for 'inv'."""
+    if bq.f is None:
+        raise MissingF("no f candidate attached")
+    if direction == "fwd":
+        return bq.f(x)
+    if direction == "inv":
+        if bq.f.inverse_table is None:
+            raise ValueError(
+                f"f candidate {bq.f.name!r} is not a bijection; "
+                "use f.preimages()")
+        return _element(int(bq.f.inverse_table[_index(*x)]))
+    raise ValueError(f"direction must be 'fwd' or 'inv', got {direction!r}")
+
+
+def element_at(group, v: Vertex) -> GroupElement:
+    """The one element whose vertex is v, coordinates taken mod GRID."""
+    (g,) = [g for g in ALL_ELEMENTS
+            if group.vertex_of(g) == Vertex(v[0] % GRID, v[1] % GRID)]
+    return g
 
 
 # -- torus grid -------------------------------------------------------------------

@@ -4,7 +4,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +207,7 @@ def test_criterion_10_property_suites(group, bq):
     for i in range(4):
         d = make_random_diagram(rng, max_classical=0, max_virtual=2,
                                 max_breaks=4, name=f"eqv{i}")
-        while len(d.virtual_ids()) < 2:
+        while len(oracle.virtual_ids(d)) < 2:
             d = make_random_diagram(rng, max_classical=0, max_virtual=2,
                                     max_breaks=4, name=f"eqv{i}")
         start = ALL_ELEMENTS[rng.randrange(64)]
@@ -220,3 +225,18 @@ def test_calibration_is_reported(group):
     assert len(cal.matches) == 8
     print(f"CALIBRATION: frozen {cal.convention.describe()} "
           f"({len(cal.matches)} matching variants)")
+
+
+def test_demos_print_golden_output():
+    # each demo's stdout, byte for byte
+    root = Path(__file__).parent.parent
+    golden = json.loads((root / "tests" / "golden.json").read_text())
+    demos = sorted(p.name for p in (root / "demos").glob("*.py"))
+    assert demos == sorted(golden["demos"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    for name in demos:
+        out = subprocess.run([sys.executable, str(root / "demos" / name)],
+                             capture_output=True, text=True, env=env,
+                             check=True, timeout=60)
+        assert out.stdout == golden["demos"][name], name

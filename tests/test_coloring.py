@@ -1,6 +1,6 @@
 import ast
-import dataclasses
 import functools
+import hashlib
 import inspect
 import random
 import time
@@ -120,6 +120,14 @@ def test_missing_f(group):
     bare = from_group(group, 2)
     with pytest.raises(MissingF):
         build_constraints(builtin_trefoil("right"), bare)
+
+
+def test_missing_f_in_solve(group, bq):
+    # constraints built with an f, solved by a biquandle without one: the
+    # planner refuses the virtual equations
+    d = builtin_trefoil("right")
+    with pytest.raises(MissingF):
+        solve(d, from_group(group, 2), A, constraints=build_constraints(d, bq))
 
 
 def test_colorings_are_sound(group, bq):
@@ -309,8 +317,9 @@ def test_constraints_match_reference(bq):
             cs = build_constraints(d, bq, quandle_only=quandle_only)
             relations, arc_count = expected
             assert cs.arc_count == arc_count
-            assert ([(type(r), dataclasses.astuple(r)) for r in cs.relations]
-                    == [(type(r), dataclasses.astuple(r)) for r in relations])
+            assert ([(type(r), tuple(r)) for r in cs.relations]
+                    == [(type(r), tuple(r)) for r in relations])
+            assert list(cs.equations) == oracle.equations(relations)
 
 
 def _early_over_chain(rng, crossings):
@@ -359,6 +368,45 @@ def test_long_branching_blocks(group, bq):
     elapsed = time.perf_counter() - t0
     assert r.count == 1
     assert elapsed < 1.0, f"2 000-crossing blocks took {elapsed:.2f} s"
+
+
+# sha256 of the count and colorings of every solve in
+# test_seeded_solves_digest.  A change that alters outputs on purpose
+# records the new digest and says so.
+SOLVES_DIGEST = "43eb72a2a9f1878a9ead990ac76019203cd6589bf5b6ab0a392060b0b9b1b759"
+
+
+def test_seeded_solves_digest(group, bq):
+    # about 4 000 seeded solves: random diagrams with 0-5 classical and
+    # 0-2 virtual crossings under the calibrated and the shear f, 30 %
+    # pinned to an end, the classical ones also in quandle mode; then
+    # early-over chains of 100-450 crossings
+    shear = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    solves = 0
+
+    def feed(r):
+        nonlocal solves
+        solves += 1
+        digest.update(repr((r.count, [[8 * g.k + g.l for g in col]
+                                      for col in r.colorings])).encode())
+
+    for i in range(1500):
+        d = make_random_diagram(rng, max_classical=5, max_virtual=2,
+                                max_breaks=9, name=f"d{i}")
+        for b in (bq, shear):
+            start = ALL_ELEMENTS[rng.randrange(64)]
+            end = ALL_ELEMENTS[rng.randrange(64)] if rng.random() < 0.3 else None
+            feed(solve(d, b, start, end=end))
+            if not d.has_virtual():
+                feed(solve(d, b, start, end=end, quandle_only=True))
+    for crossings in range(100, 451, 25):
+        d = _early_over_chain(rng, crossings)
+        for b in (bq, shear):
+            feed(solve(d, b, ALL_ELEMENTS[rng.randrange(64)]))
+    assert solves == 4062
+    assert digest.hexdigest() == SOLVES_DIGEST
 
 
 def test_solve_builds_no_arc_steps(group, bq, monkeypatch):

@@ -81,8 +81,8 @@ def test_classify_stable_under_id_renaming():
 
 def test_virtual_ids_in_first_seen_order():
     d = parse_diagram("longknot v\nV3 O1+ V10 U1+ V3 v2 V10 O4- V2 U4-\n")
-    assert d.virtual_ids() == ["3", "10", "2"]
-    assert parse_diagram("longknot c\nO1+ U1+\n").virtual_ids() == []
+    assert oracle.virtual_ids(d) == ["3", "10", "2"]
+    assert oracle.virtual_ids(parse_diagram("longknot c\nO1+ U1+\n")) == []
 
 
 def test_arcs_assignment():
@@ -95,6 +95,21 @@ def test_arcs_assignment():
     assert asg.classes == {"2": CrossingClass.EARLY_OVER}
     with pytest.raises(KeyError):
         asg.over_arcs["1"]
+
+
+def test_arcs_are_recorded_read_only():
+    # the pairing check records the assignment once; arcs and classify
+    # hand it out without a copy, so its maps refuse writes
+    d = parse_diagram("longknot x\nO1+ U1+ U2- O2-\n")
+    asg = arcs(d)
+    assert arcs(d) is asg
+    assert asg.over_arcs == {"1": 1, "2": 3}
+    with pytest.raises(TypeError):
+        asg.over_arcs["1"] = 5
+    with pytest.raises(TypeError):
+        classify(d)["2"] = CrossingClass.EARLY_OVER
+    assert classify(d) == {"1": CrossingClass.EARLY_OVER,
+                           "2": CrossingClass.EARLY_UNDER}
 
 
 def test_double_virtual_gives_three_arcs():

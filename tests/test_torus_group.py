@@ -73,7 +73,7 @@ def test_order_and_unique_normal_forms(group):
     verts = {group.vertex_of(g) for g in ALL_ELEMENTS}
     assert len(verts) == 64
     for g in ALL_ELEMENTS:
-        assert group.element_at(group.vertex_of(g)) == g
+        assert oracle.element_at(group, group.vertex_of(g)) == g
 
 
 def test_word_a_lands_on_vertex_1_0(group):
@@ -225,7 +225,7 @@ def test_every_convention_matches_closed_form_law(conv):
     assert g.mul_table.dtype == walked.dtype
     assert {x: g.vertex_of(x) for x in ALL_ELEMENTS} == vertex_of
     for x, v in vertex_of.items():
-        assert g.element_at(v) == x
+        assert oracle.element_at(g, v) == x
     assert eval_text("b^-2", g) == GroupElement(0, 6)
     ar = np.arange(ORDER)
     assert np.array_equal(g.mul_table[ar, g.inv_table], np.zeros(ORDER))
