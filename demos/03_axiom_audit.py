@@ -7,18 +7,17 @@ by a central factor.  With n = 1 that factor is no longer central and
 the strange relations fail, with a concrete counterexample.
 """
 
-from biqknot import audit, build_default_group, from_group, make_f, FKind
-from biqknot.biquandle import Biquandle
+from biqknot import Biquandle, audit, build_default_group, make_f, FKind
 
 group = build_default_group()
 
 print("=== twist n = 2, no f ===")
-report = audit(from_group(group, 2))
+report = audit(Biquandle(group, 2))
 print(report.to_text())
 print(f"all checked axioms pass: {report.passed}")
 
 print("\n=== twist n = 1 (negative control) ===")
-report1 = audit(from_group(group, 1))
+report1 = audit(Biquandle(group, 1))
 for r in report1.failures():
     print(r.line())
 

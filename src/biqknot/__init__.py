@@ -26,7 +26,6 @@ from .torus_group import (
 )
 from .group_words import (
     Concat,
-    Inverse,
     Letter,
     Power,
     WordExpr,
@@ -43,7 +42,6 @@ from .biquandle import (
     FKind,
     MissingF,
     audit,
-    from_group,
     make_f,
 )
 from .diagram import (

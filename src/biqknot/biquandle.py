@@ -4,10 +4,11 @@ Two binary operations are carried as full 64x64 tables: conjugation
 x o y = y x y^-1 and twisted conjugation x * y = y^(n+1) x y^-(n+1),
 together with their right divisions, in one stack indexed by table id
 (table k's right division is table k ^ 2).  An optional unary bijection-like
-map f (with inverse when it has one) completes the structure.  ``audit``
-sweeps every axiom over its full quantifier domain and reports failures
-as data with counterexamples; nothing aborts, since documenting which
-axioms a candidate f satisfies is part of the job.  A counterexample is
+map f (with inverse when it has one) completes the structure; attached,
+it is table id 4, t[x, y] = f(x) for every y.  ``audit`` sweeps every
+axiom over its full quantifier domain and reports failures as data with
+counterexamples; nothing aborts, since documenting which axioms a
+candidate f satisfies is part of the job.  A counterexample is
 the first failing assignment in C order: the variables as the report
 names them (x; x, y; a, b, c; x, a, b), each ranging over element
 indexes k * 8 + l, the first varying slowest.
@@ -48,14 +49,14 @@ class FKind(Enum):
     TABLE = "table"                 # explicit user-supplied map
 
 
-@dataclass
+@dataclass(eq=False)
 class FCandidate:
     """A candidate unary map with its audited verdicts.
 
     ``table`` maps element index -> element index.  ``inverse_table`` is
     present exactly when the candidate is a bijection.  Verdicts are
     definitive sweeps over the full domain; witnesses are first failures
-    in scan order.
+    in scan order.  Candidates compare by identity.
     """
 
     kind: FKind
@@ -67,10 +68,6 @@ class FCandidate:
     mult_witness: Optional[Tuple[GroupElement, GroupElement]]
     collision_witness: Optional[Tuple[GroupElement, GroupElement]]
     patched_entries: Tuple[Tuple[GroupElement, GroupElement], ...] = ()
-    _preimage_index: Optional[Index] = field(default=None, init=False,
-                                             repr=False, compare=False)
-    _flat_table: Optional[bytes] = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return _element(int(self.table[_index(*x)]))
@@ -78,18 +75,6 @@ class FCandidate:
     def preimages(self, y: GroupElement) -> Tuple[GroupElement, ...]:
         hits = np.nonzero(self.table == _index(*y))[0]
         return tuple(_element(int(i)) for i in hits)
-
-    def preimage_index(self) -> Index:
-        """Row y lists every x with f(x) = y, ascending (built once)."""
-        if self._preimage_index is None:
-            self._preimage_index = _csr(self.table, np.arange(ORDER), ORDER)
-        return self._preimage_index
-
-    def flat_table(self) -> bytes:
-        """``table`` as bytes, for lookups by Python int (built once)."""
-        if self._flat_table is None:
-            self._flat_table = self.table.astype(np.uint8).tobytes()
-        return self._flat_table
 
     def summary(self) -> str:
         bits = [self.name,
@@ -175,8 +160,9 @@ def make_f(group: TorusGroup, kind: FKind,
 
 
 # The four operation tables, by table id: table k's right division is
-# table k ^ 2.
+# table k ^ 2.  Table id _F holds the attached f as t[x, y] = f(x).
 _OP_NAMES: Tuple[str, ...] = ("circ", "star", "circ_div", "star_div")
+_F = 4
 
 
 class SolveIndexes(NamedTuple):
@@ -193,9 +179,10 @@ class Biquandle:
     """Carrier-indexed operation tables over a built group.
 
     ``tables`` stacks the four tables in ``_OP_NAMES`` order, so table
-    k's right division is table k ^ 2; ``circ_table`` and the other
-    per-name attributes are views into it.  ``flat`` holds the stack as
-    bytes, entry (k * 64 + x) * 64 + y, for lookups by Python int.
+    k's right division is table k ^ 2, then the attached f as table 4
+    (zero until one is attached); ``circ_table`` and the other per-name
+    attributes are views into it.  ``flat`` holds the stack as bytes,
+    entry (k * 64 + x) * 64 + y, for lookups by Python int.
     """
 
     def __init__(self, group: TorusGroup, n_twist: int):
@@ -203,13 +190,12 @@ class Biquandle:
             raise ValueError("n_twist must be >= 1")
         self.group = group
         self.n_twist = n_twist
-        self.carrier = ALL_ELEMENTS
         circ = self._conjugation_table(1)
         star = self._conjugation_table(n_twist + 1)
         self.tables = np.stack([circ, star, _solve_division(circ),
-                                _solve_division(star)])
+                                _solve_division(star), np.zeros_like(circ)])
         (self.circ_table, self.star_table,
-         self.circ_div_table, self.star_div_table) = self.tables
+         self.circ_div_table, self.star_div_table) = self.tables[:_F]
         self.flat = self.tables.astype(np.uint8).tobytes()
         self.f: Optional[FCandidate] = None
         self._solve_indexes: Dict[int, SolveIndexes] = {}
@@ -241,24 +227,12 @@ class Biquandle:
         return self._solve_indexes[k]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
+        """Write f into table 4 in place, so the views stay valid."""
         self.f = candidate
+        self.tables[_F] = candidate.table[:, None]
+        self.flat = self.tables.astype(np.uint8).tobytes()
+        self._solve_indexes.pop(_F, None)
         return self
-
-    def op(self, which: str, x: GroupElement, y: GroupElement) -> GroupElement:
-        t = self.tables[_OP_NAMES.index(which)]
-        return _element(int(t[_index(*x), _index(*y)]))
-
-    def circ(self, x, y):
-        return self.op("circ", x, y)
-
-    def star(self, x, y):
-        return self.op("star", x, y)
-
-    def circ_div(self, x, y):
-        return self.op("circ_div", x, y)
-
-    def star_div(self, x, y):
-        return self.op("star_div", x, y)
 
 
 def _solve_division(table: np.ndarray) -> np.ndarray:
@@ -269,11 +243,6 @@ def _solve_division(table: np.ndarray) -> np.ndarray:
     div = np.empty((ORDER, ORDER), dtype=np.int64)
     div[table, ar[None, :]] = ar[:, None]
     return div
-
-
-def from_group(group: TorusGroup, n: int) -> Biquandle:
-    """x o y = y x y^-1,  x * y = y^(n+1) x y^-(n+1), divisions solved."""
-    return Biquandle(group, n)
 
 
 # -- axiom audit ----------------------------------------------------------------
@@ -367,7 +336,7 @@ def audit(bq: Biquandle) -> AxiomReport:
     rng = np.arange(ORDER)
     # uint8 copies: the sweeps' 64^3 temporaries stay small enough for the
     # allocator to reuse instead of returning them to the OS every sweep.
-    tab = dict(zip(_OP_NAMES, bq.tables.astype(np.uint8)))
+    tab = dict(zip(_OP_NAMES, bq.tables[:_F].astype(np.uint8)))
 
     for opname in ("circ", "star"):
         t = tab[opname]

@@ -9,21 +9,22 @@ were calibrated once against the reference trefoil chain and frozen.
 
 ``build_constraints`` walks the passes once and emits each relation
 together with its equation t[x, y] = z, t named by its table id in the
-biquandle's stack, where table k's right division is table k ^ 2.
+biquandle's stack, where table k's right division is table k ^ 2 and
+table 4 is f, t[x, y] = f(x), so a virtual pass is t[x, x] = z.
 
 One iterative solver finds every coloring.  It plans the equations
-once, from which arcs are known: checks, table k forward, table k ^ 2
-backward and f forward come first; when none applies, one equation
-branches through a precomputed index (f preimages, or every over-arc
-color y with t[x, y] = z), and guessing all 64 colors of an over arc is
-the last resort.  While the only partial coloring is the
-pinned one, the planner folds each deterministic step: it evaluates the
-step on Python ints instead of emitting it, so a chain that never
-branches costs no numpy call.  From the first branch on, the plan runs
-on one integer array front[arc, col], one column per partial coloring,
-in pieces of at most ROW_CAP columns: a set writes a row, a check keeps
-columns, an expansion repeats them.  A brute-force sweep in the tests
-is its reference.
+once, from which arcs are known: checks, table k forward and table
+k ^ 2 backward come first; when none applies, one equation branches
+through a precomputed index of its table (every y with t[y, y] = z,
+in table 4 the preimages of z under f, or every over-arc color y with
+t[x, y] = z), and guessing all 64 colors of an over arc is the last
+resort.  While the only partial coloring is the pinned one, the planner
+folds each deterministic step: it evaluates the step on Python ints
+instead of emitting it, so a chain that never branches costs no numpy
+call.  From the first branch on, the plan runs on one integer array
+front[arc, col], one column per partial coloring, in pieces of at most
+ROW_CAP columns: a set writes a row, a check keeps columns, an expansion
+repeats them.  A brute-force sweep in the tests is its reference.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .biquandle import (_OP_NAMES, Biquandle, FCandidate, FKind, MissingF,
-                        _audit_candidate, make_f)
+from .biquandle import (_F, _OP_NAMES, Biquandle, FCandidate, FKind,
+                        MissingF, _audit_candidate, make_f)
 from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
                       builtin_trefoil)
 from .group_words import eval_text, format_normal
@@ -77,8 +78,7 @@ class ConstraintSet:
 
     ``equations`` holds each relation as the planner reads it, t[x, y] = z
     written (x, y, z, k): k is the table id of a classical crossing's
-    operation, and (x, None, z, None) stands for f(x) = z at a virtual
-    pass.
+    operation, and (x, x, z, 4) stands for f(x) = z at a virtual pass.
     """
 
     relations: Tuple[Relation, ...]
@@ -127,11 +127,11 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
         elif kind is _VIRTUAL:
             if cid in visited:
                 relation(new(VirtualRelation, (cid, 2, "fwd", arc, arc + 1)))
-                equation((arc, None, arc + 1, None))
+                equation((arc, arc, arc + 1, _F))
             else:
                 visited.add(cid)
                 relation(new(VirtualRelation, (cid, 1, "inv", arc, arc + 1)))
-                equation((arc + 1, None, arc, None))
+                equation((arc + 1, arc + 1, arc, _F))
             arc += 1
     return ConstraintSet(relations=tuple(relations),
                          arc_count=assignment.arc_count,
@@ -188,12 +188,11 @@ class InvariantResult:
 # ROW_CAP is smaller.)
 ROW_CAP = 1 << 14
 
-# Plan steps (kind, z, t, x, y) over the frontier front[arc, col], where
-# t[x, y] stands for t[x] when y is None (f):
+# Plan steps (kind, z, t, x, y) over the frontier front[arc, col]:
 #   _SET     z = t[x, y]
 #   _CHECK   keep the columns with t[x, y] == z
-#   _EXPAND  z in row x * 64 + y (or x) of the CSR index t; x None: every
-#            color
+#   _EXPAND  z in row x * 64 + y (or x, when y is None) of the CSR index
+#            t; x None: every color
 _SET, _CHECK, _EXPAND = range(3)
 _COLUMN = -1    # _plan's mark of an arc known as a frontier row, not one color
 _ALL_COLORS = (np.array([0, ORDER], dtype=np.intp),
@@ -209,15 +208,15 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
     Passes over the pending equations (x, y, z, k) of ``cs.equations``,
     alternately forward and backward, take every deterministic step: a
     check, ``tables[k]`` forward, its right division ``tables[k ^ 2]``
-    backward, f forward.  Only when a pass finds none does one equation
-    branch, through a CSR index if one applies, else by guessing all 64
-    colors of an over arc.  Raises MissingF if an equation needs f and
-    the biquandle has none.
+    backward.  Only when a pass finds none does one equation branch,
+    through a CSR index if one applies, else by guessing all 64 colors
+    of an over arc.  Raises MissingF if an equation needs f (table 4)
+    and the biquandle has none.
 
     While every pin has one color, a deterministic step is folded:
     evaluated here on Python ints, through ``bq.flat`` entry
-    (k * 64 + x) * 64 + y or f's bytes, not emitted.  A folded check that
-    fails means no coloring: the result is None.  Folding stops for good
+    (k * 64 + x) * 64 + y, not emitted.  A folded check that fails
+    means no coloring: the result is None.  Folding stops for good
     at the first branch, where the folded row becomes a one-column start
     frontier.  Returns the steps and their start frontier front[arc, col]
     (zero in the rows of arcs not yet known), or (None, row) when every
@@ -234,11 +233,9 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
                          dtype=np.intp)
         for a, c in pins.items():
             front[a] = c
-    tables, flat = bq.tables, bq.flat
-    if bq.f is not None:
-        f_table, f_flat = bq.f.table, bq.f.flat_table()
-    elif any(k is None for *_, k in cs.equations):
+    if bq.f is None and any(k == _F for *_, k in cs.equations):
         raise MissingF("constraints contain virtual relations but no f is attached")
+    tables, flat = bq.tables, bq.flat
     steps: List[tuple] = []
     pending = list(cs.equations)
     forward = True
@@ -246,29 +243,26 @@ def _plan(cs: ConstraintSet, bq: Biquandle, pins: Dict[int, Sequence[int]],
         rest = []
         for eq in (pending if forward else reversed(pending)):
             x, y, z, k = eq
-            if k is None:
-                if val[x] is None:
-                    rest.append(eq)
-                    continue
-            elif val[y] is None:
+            if val[y] is None:
                 rest.append(eq)
                 continue
-            elif val[x] is None:
+            if val[x] is None:
                 if val[z] is None:
                     rest.append(eq)
                     continue
-                k ^= 2               # the right division solves for x
+                # the right division solves for x; an f equation has
+                # y = x, so it never gets here and f needs no table 6
+                k ^= 2
                 x, z = z, x
             if fold:
-                got = (f_flat[val[x]] if k is None
-                       else flat[(k * ORDER + val[x]) * ORDER + val[y]])
+                got = flat[(k * ORDER + val[x]) * ORDER + val[y]]
                 if val[z] is None:
                     val[z] = got
                 elif val[z] != got:
                     return None
                 continue
             steps.append((_SET if val[z] is None else _CHECK, z,
-                          f_table if k is None else tables[k], x, y))
+                          tables[k], x, y))
             val[z] = _COLUMN
         if not forward:
             rest.reverse()
@@ -292,7 +286,9 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
             ) -> Tuple[tuple, Optional[tuple]]:
     """The expansion that unblocks a stalled plan, and the relation it
     solves: the first relation an index solves for its one unknown arc,
-    else (solving none) a guess of the first relation's over arc.
+    else (solving none) a guess of the first relation's over arc.  A
+    virtual pass f(x) = z is t[x, x] = z in table 4, so its index is
+    that table's ``diagonal``: the preimages of z under f.
 
     ``pending`` is in traversal order, so the in arc of its first
     relation is known: that relation has an index or an over arc to
@@ -301,10 +297,7 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
     for eq in pending:
         x, y, z, k = eq
         known_x, known_z = val[x] is not None, val[z] is not None
-        if k is None:
-            if known_z:
-                return (_EXPAND, x, bq.f.preimage_index(), z, None), eq
-        elif known_x and known_z:
+        if known_x and known_z:
             return (_EXPAND, y, bq.solve_indexes(k).over, x, z), eq
         elif known_x and y == z:
             return (_EXPAND, z, bq.solve_indexes(k).fixed, x, None), eq
@@ -323,10 +316,9 @@ def _execute(steps: List[tuple], front: np.ndarray) -> List[np.ndarray]:
         while i < len(steps):
             kind, z, t, x, y = step = steps[i]
             if kind == _SET:
-                front[z] = t[front[x]] if y is None else t[front[x], front[y]]
+                front[z] = t[front[x], front[y]]
             elif kind == _CHECK:
-                keep = (t[front[x]] if y is None
-                        else t[front[x], front[y]]) == front[z]
+                keep = t[front[x], front[y]] == front[z]
                 if not keep.all():
                     front = front.take(np.flatnonzero(keep), axis=1)
                     if front.shape[1] == 0:

@@ -37,11 +37,6 @@ class Letter:
 
 
 @dataclass(frozen=True)
-class Inverse:
-    expr: "WordExpr"
-
-
-@dataclass(frozen=True)
 class Power:
     expr: "WordExpr"
     exponent: int
@@ -56,7 +51,7 @@ class Concat:
             raise ValueError("Concat requires at least one factor")
 
 
-WordExpr = Union[Letter, Inverse, Power, Concat]
+WordExpr = Union[Letter, Power, Concat]
 
 
 def parse_word(text: str) -> WordExpr:
@@ -137,8 +132,6 @@ def eval_word(expr: WordExpr, group: TorusGroup) -> GroupElement:
         if expr.sym == "b":
             return group.generator_b
         return group.identity
-    if isinstance(expr, Inverse):
-        return group.inv(eval_word(expr.expr, group))
     if isinstance(expr, Power):
         return group.power(eval_word(expr.expr, group), expr.exponent)
     if isinstance(expr, Concat):

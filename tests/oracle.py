@@ -11,8 +11,9 @@ by keyword.  They return plain data (name and passes; steps, arc count and
 over-arc map; relations), so no check of the tuned code runs inside them.
 
 ``equations`` is the rule that turns relations into the planner's
-equations, and ``apply_f``, ``virtual_ids`` and ``element_at`` are
-lookups only the tests make.
+equations, and ``op`` (with its ``circ``, ``star``, ``circ_div`` and
+``star_div`` wrappers), ``apply_f``, ``virtual_ids`` and ``element_at``
+are lookups only the tests make.
 
 ``grid_walk`` builds a convention's group table by walking its oriented
 torus grid: the vertex permutations of an a-step and a b-step, the
@@ -222,17 +223,39 @@ def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
 def equations(relations) -> List[tuple]:
     """Each relation as t[x, y] = z: (x, y, z, k) for a classical
     crossing, k the table id of its operation (circ 0, star 1), and
-    (x, None, z, None) for f(x) = z at a virtual pass."""
+    (x, x, z, 4) for f(x) = z at a virtual pass, table 4 being
+    t[x, y] = f(x)."""
     eqs = []
     for r in relations:
         if isinstance(r, ClassicalRelation):
             eqs.append((r.in_arc, r.over_arc, r.out_arc,
                         {"circ": 0, "star": 1}[r.op]))
         elif r.direction == "fwd":
-            eqs.append((r.in_arc, None, r.out_arc, None))
+            eqs.append((r.in_arc, r.in_arc, r.out_arc, 4))
         else:
-            eqs.append((r.out_arc, None, r.in_arc, None))
+            eqs.append((r.out_arc, r.out_arc, r.in_arc, 4))
     return eqs
+
+
+def op(bq, which: str, x: GroupElement, y: GroupElement) -> GroupElement:
+    """x <which> y, read from the biquandle's table of that name."""
+    return _element(int(getattr(bq, f"{which}_table")[_index(*x), _index(*y)]))
+
+
+def circ(bq, x, y):
+    return op(bq, "circ", x, y)
+
+
+def star(bq, x, y):
+    return op(bq, "star", x, y)
+
+
+def circ_div(bq, x, y):
+    return op(bq, "circ_div", x, y)
+
+
+def star_div(bq, x, y):
+    return op(bq, "star_div", x, y)
 
 
 def virtual_ids(d) -> List[str]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
-from biqknot.biquandle import FKind, audit, from_group, make_f
+from biqknot.biquandle import Biquandle, FKind, audit, make_f
 from biqknot.coloring import (
     distinguish,
     reference_right_chain,
@@ -129,7 +129,7 @@ def test_criterion_7_left_trefoil_empty_and_distinguished(group, bq):
 
 
 def test_criterion_8_axiom_audit(group):
-    bq2 = from_group(group, 2)
+    bq2 = Biquandle(group, 2)
     report = audit(bq2)
     by_id = {r.axiom_id: r for r in report.results}
     full = []
@@ -145,7 +145,7 @@ def test_criterion_8_axiom_audit(group):
         full.append(f"strange-II-{dia}")
     for axiom_id in full:
         assert by_id[axiom_id].passed, axiom_id
-    bq1 = from_group(group, 1)
+    bq1 = Biquandle(group, 1)
     rep1 = audit(bq1)
     strange_failures = [r for r in rep1.failures()
                         if r.axiom_id.startswith("strange")]

@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from biqknot import coloring, diagram
-from biqknot.biquandle import Biquandle, FKind, MissingF, from_group, make_f
+from biqknot.biquandle import Biquandle, FKind, MissingF, make_f
 from biqknot.coloring import (
     ClassicalRelation,
     HasVirtualPasses,
@@ -117,7 +117,7 @@ def test_distinguish_right_vs_unknot(group, bq):
 
 
 def test_missing_f(group):
-    bare = from_group(group, 2)
+    bare = Biquandle(group, 2)
     with pytest.raises(MissingF):
         build_constraints(builtin_trefoil("right"), bare)
 
@@ -127,7 +127,33 @@ def test_missing_f_in_solve(group, bq):
     # planner refuses the virtual equations
     d = builtin_trefoil("right")
     with pytest.raises(MissingF):
-        solve(d, from_group(group, 2), A, constraints=build_constraints(d, bq))
+        solve(d, Biquandle(group, 2), A, constraints=build_constraints(d, bq))
+
+
+def test_reattached_f_solves_like_a_fresh_biquandle(group, bq):
+    # solving with the shear f builds table 4's preimage index; attaching
+    # the calibrated f must replace it and table 4's bytes
+    rng = random.Random(25)
+    diagrams = [builtin_trefoil("right"), builtin_trefoil("left")]
+    while len(diagrams) < 12:
+        d = make_random_diagram(rng, max_classical=4, max_virtual=3,
+                                max_breaks=8, name=f"re{len(diagrams)}")
+        if d.has_virtual():
+            diagrams.append(d)
+    starts = [A, AB2, GroupElement(3, 5)]
+    reused = Biquandle(group, 2).attach_f(make_f(group, FKind.SHEAR))
+    for d in diagrams:
+        for s in starts:
+            solve(d, reused, s)
+    assert 4 in reused._solve_indexes
+    reused.attach_f(bq.f)
+    # f's bytes are compared directly: no solve reads them, because a fold
+    # stalls at every virtual pass (forward, a first visit lacks its out
+    # arc; backward, a second visit lacks its in arc)
+    assert reused.flat == bq.flat
+    for d in diagrams:
+        for s in starts:
+            assert solve(d, reused, s) == solve(d, bq, s)
 
 
 def test_colorings_are_sound(group, bq):
@@ -139,8 +165,8 @@ def test_colorings_are_sound(group, bq):
         values = {i + 1: g for i, g in enumerate(col)}
         for rel in cs.relations:
             if isinstance(rel, ClassicalRelation):
-                assert bq.op(rel.op, values[rel.in_arc],
-                             values[rel.over_arc]) == values[rel.out_arc]
+                assert oracle.op(bq, rel.op, values[rel.in_arc],
+                                 values[rel.over_arc]) == values[rel.out_arc]
             elif rel.direction == "fwd":
                 assert bq.f(values[rel.in_arc]) == values[rel.out_arc]
             else:
@@ -174,7 +200,7 @@ def test_classical_mode(group, bq):
     r = solve(d, bq, A, quandle_only=True)
     assert r.colorings == oracle.colorings(d, bq, A, quandle_only=True)
     for col in r.colorings:
-        assert bq.circ(col[0], col[1]) == col[1]
+        assert oracle.circ(bq, col[0], col[1]) == col[1]
 
 
 def test_trefoil_colorings_with_other_starts(group, bq):
@@ -214,8 +240,8 @@ def _satisfies(bq, cs, col):
     values = {i + 1: g for i, g in enumerate(col)}
     for rel in cs.relations:
         if isinstance(rel, ClassicalRelation):
-            if bq.op(rel.op, values[rel.in_arc],
-                     values[rel.over_arc]) != values[rel.out_arc]:
+            if oracle.op(bq, rel.op, values[rel.in_arc],
+                         values[rel.over_arc]) != values[rel.out_arc]:
                 return False
         elif rel.direction == "fwd":
             if bq.f(values[rel.in_arc]) != values[rel.out_arc]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from biqknot.group_words import (
     MAX_NESTING,
     Concat,
-    Inverse,
     Letter,
     Power,
     WordSyntaxError,
@@ -65,12 +64,6 @@ def test_eval_reference_products(group):
     assert eval_text("(ab^3)^3 (ab^2) (ab^3)^-3", group) == GroupElement(7, 0)
     assert eval_text("a (a b a^-1 b^-1)", group) == GroupElement(3, 2)
     assert eval_text("(a b a^-1 b^-1) a", group) == GroupElement(3, 6)
-
-
-def test_inverse_node_evaluates(group):
-    expr = Inverse(Concat((Letter("a"), Letter("b"))))
-    ab = group.mul(group.generator_a, group.generator_b)
-    assert eval_word(expr, group) == group.inv(ab)
 
 
 def test_format_normal_golden():
