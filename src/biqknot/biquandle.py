@@ -3,15 +3,14 @@
 Two binary operations are carried as full 64x64 tables: conjugation
 x o y = y x y^-1 and twisted conjugation x * y = y^(n+1) x y^-(n+1),
 together with their right divisions, in one stack indexed by table id
-(table k's right division is table k ^ 2).  An optional unary bijection-like
-map f (with inverse when it has one) completes the structure; attached,
-it is table id 4, t[x, y] = f(x) for every y.  ``audit`` sweeps every
-axiom over its full quantifier domain and reports failures as data with
-counterexamples; nothing aborts, since documenting which axioms a
-candidate f satisfies is part of the job.  A counterexample is
-the first failing assignment in C order: the variables as the report
-names them (x; x, y; a, b, c; x, a, b), each ranging over element
-indexes k * 8 + l, the first varying slowest.
+(table k's right division is table k ^ 2).  An optional unary map f
+completes the structure; attached, it is table id 4, t[x, y] = f(x) for
+every y.  ``audit`` sweeps every axiom over its full quantifier domain
+and reports failures as data with counterexamples; nothing aborts, since
+documenting which axioms a candidate f satisfies is part of the job.  A
+counterexample is the first failing assignment in C order: the variables
+as the report names them (x; x, y; a, b, c; x, a, b), each ranging over
+element indexes k * 8 + l, the first varying slowest.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ class FKind(Enum):
 class FCandidate:
     """A candidate unary map with its audited verdicts.
 
-    ``table`` maps element index -> element index.  ``inverse_table`` is
-    present exactly when the candidate is a bijection.  Verdicts are
+    ``table`` maps element index -> element index.  Verdicts are
     definitive sweeps over the full domain; witnesses are first failures
     in scan order.  Candidates compare by identity.
     """
@@ -63,7 +61,6 @@ class FCandidate:
     name: str
     table: np.ndarray
     bijective: bool
-    inverse_table: Optional[np.ndarray]
     multiplicative: bool
     mult_witness: Optional[Tuple[GroupElement, GroupElement]]
     collision_witness: Optional[Tuple[GroupElement, GroupElement]]
@@ -97,28 +94,15 @@ def _audit_candidate(group: TorusGroup, kind: FKind, name: str,
     if len(repeats):
         i = int(repeats[0])
         collision = (_element(int(first[table[i]])), _element(i))
-    bijective = collision is None
-    inverse = None
-    if bijective:
-        inverse = np.empty(ORDER, dtype=np.int64)
-        inverse[table] = np.arange(ORDER)
     m = group.mul_table
     bad = _first_bad(table[m] != m[table[:, None], table[None, :]])  # f(gh), f(g) f(h)
     mult_witness = None if bad is None else (_element(bad[0]), _element(bad[1]))
     return FCandidate(kind=kind, name=name, table=table,
-                      bijective=bijective, inverse_table=inverse,
+                      bijective=collision is None,
                       multiplicative=mult_witness is None,
                       mult_witness=mult_witness,
                       collision_witness=collision,
                       patched_entries=patched)
-
-
-def _perm_powers(p: np.ndarray) -> np.ndarray:
-    """Row n is the permutation p applied n times, for n in 0..GRID-1."""
-    powers = [np.arange(ORDER)]
-    for _ in range(GRID - 1):
-        powers.append(p[powers[-1]])
-    return np.stack(powers)
 
 
 def make_f(group: TorusGroup, kind: FKind,
@@ -132,13 +116,11 @@ def make_f(group: TorusGroup, kind: FKind,
     All defects are verdicts on the returned candidate, never errors.
     """
     if kind is FKind.SUBSTITUTION:
-        m = group.mul_table
-        ab = m[_index(*group.generator_a), _index(*group.generator_b)]
-        # column 0 of the powers of right multiplication by x: x^0 .. x^7
-        ab_pow = _perm_powers(m[:, ab])[:, 0]
-        b_pow = _perm_powers(m[:, _index(*group.generator_b)])[:, 0]
+        ab = group.mul(group.generator_a, group.generator_b)
+        ab_pow = np.array([_index(*group.power(ab, k)) for k in range(GRID)])
+        # b^l is the normal form (0, l), whose index is l
         k, l = np.divmod(np.arange(ORDER), GRID)
-        arr = m[ab_pow[k], b_pow[l]].astype(np.int64)
+        arr = group.mul_table[ab_pow[k], l].astype(np.int64)
         return _audit_candidate(group, kind, name or "substitution", arr)
     if kind is FKind.SHEAR:
         k, l = np.divmod(np.arange(ORDER), 8)
@@ -166,12 +148,12 @@ _F = 4
 
 
 class SolveIndexes(NamedTuple):
-    """For one operation table t: row x * 64 + z of ``over`` lists every y
-    with t[x, y] = z; row x of ``fixed`` every y with t[x, y] = y; row z of
-    ``diagonal`` every y with t[y, y] = z.  Rows are ascending."""
+    """For one table t: row x * 64 + z of ``over`` lists every y with
+    t[x, y] = z; row z of ``diagonal`` every y with t[y, y] = z.  Rows are
+    ascending.  Every y with t[x, y] = y is row x of the right division's
+    ``diagonal``, since t[x, y] = y exactly when div[y, y] = x."""
 
     over: Index
-    fixed: Index
     diagonal: Index
 
 
@@ -180,8 +162,7 @@ class Biquandle:
 
     ``tables`` stacks the four tables in ``_OP_NAMES`` order, so table
     k's right division is table k ^ 2, then the attached f as table 4
-    (zero until one is attached); ``circ_table`` and the other per-name
-    attributes are views into it.  ``flat`` holds the stack as bytes,
+    (zero until one is attached).  ``flat`` holds the stack as bytes,
     entry (k * 64 + x) * 64 + y, for lookups by Python int.
     """
 
@@ -194,8 +175,6 @@ class Biquandle:
         star = self._conjugation_table(n_twist + 1)
         self.tables = np.stack([circ, star, _solve_division(circ),
                                 _solve_division(star), np.zeros_like(circ)])
-        (self.circ_table, self.star_table,
-         self.circ_div_table, self.star_div_table) = self.tables[:_F]
         self.flat = self.tables.astype(np.uint8).tobytes()
         self.f: Optional[FCandidate] = None
         self._solve_indexes: Dict[int, SolveIndexes] = {}
@@ -218,16 +197,14 @@ class Biquandle:
         if k not in self._solve_indexes:
             t = self.tables[k]
             ar = np.arange(ORDER)
-            fx, fy = np.nonzero(t == ar[None, :])
             self._solve_indexes[k] = SolveIndexes(
                 over=_csr((ar[:, None] * ORDER + t).ravel(),
                           np.tile(ar, ORDER), ORDER * ORDER),
-                fixed=_csr(fx, fy, ORDER),
                 diagonal=_csr(t[ar, ar], ar, ORDER))
         return self._solve_indexes[k]
 
     def attach_f(self, candidate: FCandidate) -> "Biquandle":
-        """Write f into table 4 in place, so the views stay valid."""
+        """Write f into table 4, and drop table 4's solve indexes."""
         self.f = candidate
         self.tables[_F] = candidate.table[:, None]
         self.flat = self.tables.astype(np.uint8).tobytes()
@@ -366,23 +343,16 @@ def audit(bq: Biquandle) -> AxiomReport:
         res.append(AxiomResult("f-roundtrip", ORDER, True, skipped=True,
                                skip_reason="no f attached"))
     else:
-        ft = bq.f.table
-        f8 = ft.astype(np.uint8)
+        f8 = bq.f.table.astype(np.uint8)
         for opname in ("circ", "star"):
             t = tab[opname]
             res.append(_sweep(f"f-equivariance-{opname}", "ab",
                               f8[t], t[f8[:, None], f8[None, :]]))
-        if bq.f.inverse_table is None:
-            cx = None
-            if bq.f.collision_witness:
-                g1, g2 = bq.f.collision_witness
-                cx = {"x": g1, "y": g2}
-            res.append(AxiomResult("f-roundtrip", ORDER, False,
-                                   counterexample=cx))
-        else:
-            inv = bq.f.inverse_table
-            ok = (np.array_equal(ft[inv], rng) and np.array_equal(inv[ft], rng))
-            res.append(AxiomResult("f-roundtrip", ORDER, ok))
+        # f has a two-sided inverse exactly when no two elements collide
+        witness = bq.f.collision_witness
+        res.append(AxiomResult("f-roundtrip", ORDER, witness is None,
+                               counterexample=None if witness is None
+                               else dict(zip("xy", witness))))
 
     for dia in _OP_NAMES:
         td = tab[dia]

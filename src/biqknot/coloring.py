@@ -17,11 +17,11 @@ once, from which arcs are known: checks, table k forward and table
 k ^ 2 backward come first; when none applies, one equation branches
 through a precomputed index of its table (every y with t[y, y] = z,
 in table 4 the preimages of z under f, or every over-arc color y with
-t[x, y] = z), and guessing all 64 colors of an over arc is the last
-resort.  While the only partial coloring is the pinned one, the planner
-folds each deterministic step: it evaluates the step on Python ints
-instead of emitting it, so a chain that never branches costs no numpy
-call.  From the first branch on, the plan runs on one integer array
+t[x, y] = z) or of its right division (every y with t[x, y] = y), and
+guessing all 64 colors of an over arc is the last resort.  While the
+only partial coloring is the pinned one, the planner folds each
+deterministic step: it evaluates the step on Python ints instead of
+emitting it, so a chain that never branches costs no numpy call.  From the first branch on, the plan runs on one integer array
 front[arc, col], one column per partial coloring, in pieces of at most
 ROW_CAP columns: a set writes a row, a check keeps columns, an expansion
 repeats them.  A brute-force sweep in the tests is its reference.
@@ -95,9 +95,7 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
     """
     assignment = arcs(d)
     classes, over_arcs = assignment.classes, assignment.over_arcs
-    passes = d.passes
-    # every classical crossing has two passes; the rest are virtual
-    has_virtual = len(passes) > 2 * len(classes)
+    has_virtual = d.has_virtual()
     if quandle_only and has_virtual:
         raise HasVirtualPasses(
             f"diagram {d.name!r} has virtual passes; classical mode "
@@ -115,7 +113,7 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
     visited = set()
     # the k-th under or virtual pass runs from arc k to arc k + 1
     arc = 1
-    for kind, cid, _ in passes:
+    for kind, cid, _ in d.passes:
         if kind is _UNDER:
             over = over_arcs[cid]
             # an identity test: Enum.__hash__ runs in Python
@@ -288,7 +286,9 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
     solves: the first relation an index solves for its one unknown arc,
     else (solving none) a guess of the first relation's over arc.  A
     virtual pass f(x) = z is t[x, x] = z in table 4, so its index is
-    that table's ``diagonal``: the preimages of z under f.
+    that table's ``diagonal``: the preimages of z under f.  An over arc
+    that is the out arc, t[x, y] = y, is y / y = x in the right division
+    table k ^ 2, so its index is that table's ``diagonal`` row x.
 
     ``pending`` is in traversal order, so the in arc of its first
     relation is known: that relation has an index or an over arc to
@@ -300,7 +300,8 @@ def _branch(pending: List[tuple], val: List[Optional[int]], bq: Biquandle,
         if known_x and known_z:
             return (_EXPAND, y, bq.solve_indexes(k).over, x, z), eq
         elif known_x and y == z:
-            return (_EXPAND, z, bq.solve_indexes(k).fixed, x, None), eq
+            # k is never 4 here: an f equation's out arc is not its in arc
+            return (_EXPAND, z, bq.solve_indexes(k ^ 2).diagonal, x, None), eq
         elif known_z and y == x:
             return (_EXPAND, x, bq.solve_indexes(k).diagonal, z, None), eq
     return (_EXPAND, pending[0][1], _ALL_COLORS, None, None), None

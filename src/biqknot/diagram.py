@@ -88,7 +88,6 @@ class ArcAssignment:
     the arc the traversal is on.
     """
 
-    passes: Tuple[Pass, ...]
     arc_count: int
     over_arcs: Mapping[str, int] = field(repr=False, compare=False)
     classes: Mapping[str, CrossingClass] = field(repr=False, compare=False)
@@ -108,7 +107,8 @@ class LongDiagram:
         return self._arcs.arc_count
 
     def has_virtual(self) -> bool:
-        return any(p.kind is PassKind.VIRTUAL for p in self.passes)
+        # every classical crossing has two passes; the rest are virtual
+        return len(self.passes) > 2 * len(self._arcs.classes)
 
 
 def _pair_passes(passes: Tuple[Pass, ...]) -> ArcAssignment:
@@ -154,7 +154,7 @@ def _pair_passes(passes: Tuple[Pass, ...]) -> ArcAssignment:
         half = sorted(cid for cid, n in virtuals.items() if n != 2)
         raise PairingError(
             f"virtual crossing(s) not passed exactly twice: {half}")
-    return ArcAssignment(passes=passes, arc_count=arc,
+    return ArcAssignment(arc_count=arc,
                          over_arcs=MappingProxyType(over_arcs),
                          classes=MappingProxyType(classes))
 

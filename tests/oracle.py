@@ -1,10 +1,12 @@
 """Slow, plain references the program is tested against.
 
 ``colorings`` sweeps every assignment of the arcs that are not pinned, in
-vectorized chunks, and keeps those that satisfy every relation.  It is
-exponential in the number of free arcs, so it refuses more than MAX_FREE.
+vectorized chunks, and keeps those that satisfy every relation of
+``constraints``, so the program's ``build_constraints`` does not run
+inside it.  It is exponential in the number of free arcs, so it refuses
+more than MAX_FREE.
 
-``parse_diagram``, ``arcs``, ``classify`` and ``build_constraints`` are
+``parse_diagram``, ``arcs``, ``classify`` and ``constraints`` are
 the diagram front end as it was written before it was tuned: a scan that
 keeps every token's offset, one walk per derived map, and relations built
 by keyword.  They return plain data (name and passes; steps, arc count and
@@ -28,10 +30,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from biqknot.coloring import (ClassicalRelation, HasVirtualPasses,
-                              VirtualRelation, build_constraints)
+                              VirtualRelation)
 from biqknot.diagram import (CrossingClass, DiagramSyntaxError, PairingError,
                              Pass, PassKind, _tokenize)
-from biqknot.biquandle import MissingF, _perm_powers
+from biqknot.biquandle import _OP_NAMES, MissingF
 from biqknot.torus_group import (ALL_ELEMENTS, GRID, ORDER, ColPhase,
                                  CompositionOrder, Convention,
                                  ConventionInconsistent, GroupElement, RowPhase,
@@ -45,10 +47,11 @@ def colorings(d, bq, start: GroupElement, end: Optional[GroupElement] = None,
               quandle_only: bool = False) -> Tuple[Tuple[GroupElement, ...], ...]:
     """Every coloring of ``d`` from ``start`` (to ``end``), sorted like
     ``solve(...).colorings``."""
-    cs = build_constraints(d, bq, quandle_only=quandle_only)
+    relations, m = constraints(d, quandle_only=quandle_only)
+    if bq.f is None and any(isinstance(r, VirtualRelation) for r in relations):
+        raise MissingF(f"diagram {d.name!r} has virtual passes but no f")
     ft = bq.f.table if bq.f is not None else None
-    tables = {"circ": bq.circ_table, "star": bq.star_table}
-    m = cs.arc_count
+    tables = dict(zip(_OP_NAMES, bq.tables))
     pinned: Dict[int, int] = {1: _index(*start)}
     if end is not None:
         if m == 1:
@@ -73,7 +76,7 @@ def colorings(d, bq, start: GroupElement, end: Optional[GroupElement] = None,
         for pos, a in enumerate(free):
             cols[a] = (block // (ORDER ** pos)) % ORDER
         mask = np.ones(hi - lo, dtype=bool)
-        for r in cs.relations:
+        for r in relations:
             if isinstance(r, ClassicalRelation):
                 mask &= (tables[r.op][cols[r.in_arc], cols[r.over_arc]]
                          == cols[r.out_arc])
@@ -193,7 +196,7 @@ def arcs(d) -> Tuple[Tuple[Tuple[Pass, int, int], ...], int, Dict[str, int]]:
 
 def constraints(d, quandle_only: bool = False) -> Tuple[list, int]:
     """The relations and the arc count (the f check is left out)."""
-    if quandle_only and d.has_virtual():
+    if quandle_only and virtual_ids(d):
         raise HasVirtualPasses(d.name)
     cls = classify(d)
     steps, arc_count, over_arcs = arcs(d)
@@ -239,7 +242,7 @@ def equations(relations) -> List[tuple]:
 
 def op(bq, which: str, x: GroupElement, y: GroupElement) -> GroupElement:
     """x <which> y, read from the biquandle's table of that name."""
-    return _element(int(getattr(bq, f"{which}_table")[_index(*x), _index(*y)]))
+    return _element(int(bq.tables[_OP_NAMES.index(which)][_index(*x), _index(*y)]))
 
 
 def circ(bq, x, y):
@@ -271,11 +274,12 @@ def apply_f(bq, direction: str, x: GroupElement) -> GroupElement:
     if direction == "fwd":
         return bq.f(x)
     if direction == "inv":
-        if bq.f.inverse_table is None:
+        if not bq.f.bijective:
             raise ValueError(
                 f"f candidate {bq.f.name!r} is not a bijection; "
                 "use f.preimages()")
-        return _element(int(bq.f.inverse_table[_index(*x)]))
+        (pre,) = bq.f.preimages(x)
+        return pre
     raise ValueError(f"direction must be 'fwd' or 'inv', got {direction!r}")
 
 
@@ -287,6 +291,14 @@ def element_at(group, v: Vertex) -> GroupElement:
 
 
 # -- torus grid -------------------------------------------------------------------
+
+
+def _perm_powers(p: np.ndarray) -> np.ndarray:
+    """Row n is the permutation p applied n times, for n in 0..GRID-1."""
+    powers = [np.arange(ORDER)]
+    for _ in range(GRID - 1):
+        powers.append(p[powers[-1]])
+    return np.stack(powers)
 
 
 def _step_permutations(convention: Convention) -> Tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ def test_divisions_invert(bq2):
 
 
 def test_left_translations_are_permutations(bq2):
-    for t in (bq2.circ_table, bq2.star_table):
+    for t in bq2.tables[:2]:
         for y in range(64):
             assert len(set(int(v) for v in t[:, y])) == 64
 
@@ -112,7 +112,6 @@ def test_twist_one_breaks_strange_relations(group):
 def test_substitution_candidate_verdicts(group):
     cand = make_f(group, FKind.SUBSTITUTION)
     assert not cand.bijective
-    assert cand.inverse_table is None
     # first collision in scan order: a^2 maps to (ab)^2 = b^4 = f(b^4)
     assert cand.collision_witness == (GroupElement(0, 4), GroupElement(2, 0))
     assert not cand.multiplicative
@@ -148,7 +147,6 @@ def test_substitution_witnesses_check_out(group):
 def test_shear_candidate_verdicts(group):
     cand = make_f(group, FKind.SHEAR)
     assert cand.bijective
-    assert cand.inverse_table is not None
     assert not cand.multiplicative
     assert cand.mult_witness == (GroupElement(0, 1), GroupElement(1, 0))
     for g in ALL_ELEMENTS:
@@ -248,8 +246,8 @@ def test_make_f_table_requires_full_domain(group):
 def test_tables_match_elementwise_conjugation(group, n):
     # loop oracle: x o y = y x y^-1, x * y = y^(n+1) x y^-(n+1)
     bq = Biquandle(group, n)
-    for p, table, div in ((1, bq.circ_table, bq.circ_div_table),
-                          (n + 1, bq.star_table, bq.star_div_table)):
+    for p, table, div in ((1, bq.tables[0], bq.tables[2]),
+                          (n + 1, bq.tables[1], bq.tables[3])):
         expected = np.empty((64, 64), dtype=np.int64)
         expected_div = np.empty((64, 64), dtype=np.int64)
         for y in ALL_ELEMENTS:
@@ -284,13 +282,54 @@ def test_solve_indexes_list_every_solution(group, bq):
             for z in range(64):
                 assert _row(idx.over, x * 64 + z) == \
                     [y for y in range(64) if t[x][y] == z]
-            assert _row(idx.fixed, x) == [y for y in range(64) if t[x][y] == y]
+            assert _row(bq.solve_indexes(k ^ 2).diagonal, x) == \
+                [y for y in range(64) if t[x][y] == y]
             assert _row(idx.diagonal, x) == [y for y in range(64) if t[y][y] == x]
     # table 4 is f, t[x, y] = f(x): its diagonal index lists preimages
     pre = bq.solve_indexes(4).diagonal
     for y in ALL_ELEMENTS:
         assert [ALL_ELEMENTS[i] for i in _row(pre, _index(*y))] == \
             list(bq.f.preimages(y))
+
+
+def test_operation_diagonals_are_the_identity(group):
+    # idempotence: an R1 kink's t[y, y] = z on an operation table solves
+    # to y = z alone, so it never fans out
+    for n in range(1, 8):
+        bq = Biquandle(group, n)
+        for k in range(4):
+            diagonal = bq.solve_indexes(k).diagonal
+            for z in range(64):
+                assert _row(diagonal, z) == [z], (n, k, z)
+
+
+def test_f_roundtrip_is_the_collision_verdict(group):
+    # f has a two-sided inverse exactly when it is injective: the audit's
+    # f-roundtrip line restates bijective and collision_witness
+    rng = np.random.default_rng(29)
+    perm = rng.permutation(64)
+    squashed = rng.integers(0, 64, size=64)
+    candidates = [
+        make_f(group, FKind.SHEAR),
+        make_f(group, FKind.SUBSTITUTION),
+        select_f_candidate(group, 2),
+        make_f(group, FKind.TABLE, name="permutation", table={
+            g: ALL_ELEMENTS[perm[i]] for i, g in enumerate(ALL_ELEMENTS)}),
+        make_f(group, FKind.TABLE, name="squashed", table={
+            g: ALL_ELEMENTS[squashed[i]] for i, g in enumerate(ALL_ELEMENTS)}),
+    ]
+    assert [c.bijective for c in candidates] == [True, False, False, True, False]
+    rng64 = np.arange(64)
+    for cand in candidates:
+        inv = np.argsort(cand.table)
+        assert cand.bijective == (np.array_equal(cand.table[inv], rng64)
+                                  and np.array_equal(inv[cand.table], rng64))
+        report = audit(Biquandle(group, 2).attach_f(cand))
+        (roundtrip,) = [r for r in report.results if r.axiom_id == "f-roundtrip"]
+        assert roundtrip.passed == cand.bijective, cand.name
+        witness = cand.collision_witness
+        assert roundtrip.counterexample == (
+            None if witness is None else {"x": witness[0], "y": witness[1]})
 
 
 def test_f_candidates_compare_by_identity(group):

@@ -120,6 +120,8 @@ def test_missing_f(group):
     bare = Biquandle(group, 2)
     with pytest.raises(MissingF):
         build_constraints(builtin_trefoil("right"), bare)
+    with pytest.raises(MissingF):
+        oracle.colorings(builtin_trefoil("right"), bare, A)
 
 
 def test_missing_f_in_solve(group, bq):
@@ -373,7 +375,7 @@ def test_long_early_over_chain(group, bq):
     elapsed = time.perf_counter() - t0
     assert r.count == 1
     # the fold along the chain: each under pass applies its table
-    tables = {"circ": bq.circ_table.tolist(), "star": bq.star_table.tolist()}
+    tables = {"circ": bq.tables[0].tolist(), "star": bq.tables[1].tolist()}
     arc = [None, 3 * 8 + 5]
     for rel in cs.relations:
         arc.append(tables[rel.op][arc[rel.in_arc]][arc[rel.over_arc]])
