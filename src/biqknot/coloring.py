@@ -7,10 +7,14 @@ the first visit to a virtual crossing pulls back through f, the second
 pushes forward.  Those direction choices, like the builtin diagrams,
 were calibrated once against the reference trefoil chain and frozen.
 
-``build_constraints`` walks the passes once and emits each relation
-together with its equation t[x, y] = z, t named by its table id in the
-biquandle's stack, where table k's right division is table k ^ 2 and
-table 4 is f, t[x, y] = f(x), so a virtual pass is t[x, x] = z.
+A diagram's pairing walk emits its equations, one per under and
+virtual pass, t[x, y] = z with t named by its table id in the
+biquandle's stack: table k's right division is table k ^ 2 and table 4
+is f, t[x, y] = f(x), so a virtual pass is t[x, x] = z.
+``build_constraints`` makes two checks and hands those equations out,
+with circ at every classical crossing in classical mode; the relation
+records of ``ConstraintSet.relations`` are built from them only when
+read.
 
 One iterative solver finds every coloring.  It plans the equations
 once, from which arcs are known: checks, table k forward and table
@@ -21,10 +25,11 @@ t[x, y] = z) or of its right division (every y with t[x, y] = y), and
 guessing all 64 colors of an over arc is the last resort.  While the
 only partial coloring is the pinned one, the planner folds each
 deterministic step: it evaluates the step on Python ints instead of
-emitting it, so a chain that never branches costs no numpy call.  From the first branch on, the plan runs on one integer array
-front[arc, col], one column per partial coloring, in pieces of at most
-ROW_CAP columns: a set writes a row, a check keeps columns, an expansion
-repeats them.  A brute-force sweep in the tests is its reference.
+emitting it, so a chain that never branches costs no numpy call.  From
+the first branch on, the plan runs on one integer array front[arc, col],
+one column per partial coloring, in pieces of at most ROW_CAP columns: a
+set writes a row, a check keeps columns, an expansion repeats them.  A
+brute-force sweep in the tests is its reference.
 """
 
 from __future__ import annotations
@@ -37,16 +42,13 @@ import numpy as np
 
 from .biquandle import (_F, _OP_NAMES, Biquandle, FCandidate, FKind,
                         MissingF, _audit_candidate, make_f)
-from .diagram import (CrossingClass, LongDiagram, PassKind, arcs,
-                      builtin_trefoil)
+from .diagram import LongDiagram, arcs, builtin_trefoil
 from .group_words import eval_text, format_normal
 from .torus_group import (ALL_ELEMENTS, ORDER, GroupElement, TorusGroup,
                           _index)
 
 
-_UNDER, _VIRTUAL = PassKind.UNDER, PassKind.VIRTUAL
-_EARLY_OVER = CrossingClass.EARLY_OVER
-_CIRC, _STAR = _OP_NAMES.index("circ"), _OP_NAMES.index("star")
+_CIRC = _OP_NAMES.index("circ")
 
 
 class HasVirtualPasses(Exception):
@@ -74,27 +76,44 @@ Relation = Union[ClassicalRelation, VirtualRelation]
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """The relations of a diagram, in traversal order, and its arc count.
+    """The equations of a diagram, in traversal order, and its arc count.
 
-    ``equations`` holds each relation as the planner reads it, t[x, y] = z
-    written (x, y, z, k): k is the table id of a classical crossing's
-    operation, and (x, x, z, 4) stands for f(x) = z at a virtual pass.
+    ``equations`` holds one relation per under and virtual pass as the
+    planner reads it, t[x, y] = z written (x, y, z, k): k is the table id
+    of a classical crossing's operation, and (x, x, z, 4) stands for
+    f(x) = z at a virtual pass.  ``tokens`` are the diagram's pass
+    tokens, whose under and virtual entries name each equation's
+    crossing; ``relations`` is built from both on each read.
     """
 
-    relations: Tuple[Relation, ...]
     arc_count: int
-    equations: Tuple[tuple, ...] = field(repr=False, compare=False)
+    equations: Tuple[tuple, ...]
+    tokens: Sequence[str] = field(repr=False, compare=False)
+
+    @property
+    def relations(self) -> Tuple[Relation, ...]:
+        """One relation record per equation, in traversal order."""
+        ids = [tok[1:] if tok[0] in "Vv" else tok[1:-1]
+               for tok in self.tokens if tok[0] not in "Oo"]
+        return tuple(
+            ClassicalRelation(cid, _OP_NAMES[k], x, z, y) if k != _F
+            # a first visit pulls back, f(out) = in, so x = out > z = in
+            else VirtualRelation(cid, 1, "inv", z, x) if x > z
+            else VirtualRelation(cid, 2, "fwd", x, z)
+            for cid, (x, y, z, k) in zip(ids, self.equations))
 
 
 def build_constraints(d: LongDiagram, bq: Biquandle,
                       quandle_only: bool = False) -> ConstraintSet:
-    """One relation per classical crossing and per virtual pass.
+    """The equations of ``d``'s pairing walk, one per classical crossing
+    and per virtual pass.
 
     quandle_only is the classical quandle mode: 'circ' at every classical
-    crossing, whatever its class, and no virtual passes allowed.
+    crossing, whatever its class, and no virtual passes allowed
+    (HasVirtualPasses).  A diagram with virtual passes needs an f
+    attached to ``bq`` (MissingF).
     """
     assignment = arcs(d)
-    classes, over_arcs = assignment.classes, assignment.over_arcs
     has_virtual = d.has_virtual()
     if quandle_only and has_virtual:
         raise HasVirtualPasses(
@@ -104,36 +123,11 @@ def build_constraints(d: LongDiagram, bq: Biquandle,
         raise MissingF(
             f"diagram {d.name!r} has virtual passes but the biquandle has "
             "no f candidate attached")
-    early_under = _CIRC if quandle_only else _STAR
-    relations: List[Relation] = []
-    equations: List[tuple] = []
-    relation, equation = relations.append, equations.append
-    # tuple.__new__ skips the NamedTuples' Python-level __new__
-    new = tuple.__new__
-    visited = set()
-    # the k-th under or virtual pass runs from arc k to arc k + 1
-    arc = 1
-    for kind, cid, _ in d.passes:
-        if kind is _UNDER:
-            over = over_arcs[cid]
-            # an identity test: Enum.__hash__ runs in Python
-            k = _CIRC if classes[cid] is _EARLY_OVER else early_under
-            relation(new(ClassicalRelation,
-                         (cid, _OP_NAMES[k], arc, arc + 1, over)))
-            equation((arc, over, arc + 1, k))
-            arc += 1
-        elif kind is _VIRTUAL:
-            if cid in visited:
-                relation(new(VirtualRelation, (cid, 2, "fwd", arc, arc + 1)))
-                equation((arc, arc, arc + 1, _F))
-            else:
-                visited.add(cid)
-                relation(new(VirtualRelation, (cid, 1, "inv", arc, arc + 1)))
-                equation((arc + 1, arc + 1, arc, _F))
-            arc += 1
-    return ConstraintSet(relations=tuple(relations),
-                         arc_count=assignment.arc_count,
-                         equations=tuple(equations))
+    equations = assignment.equations
+    if quandle_only:
+        equations = tuple((x, y, z, _CIRC) for x, y, z, _ in equations)
+    return ConstraintSet(arc_count=assignment.arc_count, equations=equations,
+                         tokens=d._tokens)
 
 
 Coloring = Tuple[GroupElement, ...]

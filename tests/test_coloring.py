@@ -1,9 +1,11 @@
 import ast
 import functools
+import gc
 import hashlib
 import inspect
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -451,6 +453,75 @@ def test_solve_builds_no_arc_steps(group, bq, monkeypatch):
     r = solve(d, bq, GroupElement(3, 5))
     assert r.count == 1
     assert calls == [d]
+
+
+def test_parsed_chain_solves_from_its_walk(group, bq, monkeypatch):
+    # text -> pairing walk -> equations -> solve: no Pass and no relation
+    # record is built, and arcs is called once, through the module global
+    text = diagram.serialize(_early_over_chain(random.Random(1000), 1000))
+    calls, built = [], []
+
+    def spy_arcs(d):
+        calls.append(d)
+        return arcs(d)
+
+    def spy_build(*args, **kwargs):
+        built.append(build_constraints(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(coloring, "arcs", spy_arcs)
+    monkeypatch.setattr(coloring, "build_constraints", spy_build)
+    kinds = (Pass, ClassicalRelation, VirtualRelation)
+    # with the collector off, every new tuple stays on gc's list while
+    # it lives; d and the captured constraints keep theirs alive
+    gc.disable()
+    try:
+        old = [o for o in gc.get_objects() if type(o) in kinds]
+        seen = {id(o) for o in old}
+
+        def new_records():
+            return Counter(type(o) for o in gc.get_objects()
+                           if type(o) in kinds and id(o) not in seen)
+
+        d = parse_diagram(text)
+        r = solve(d, bq, GroupElement(3, 5))
+        assert new_records() == {}
+        assert len(calls) == 1 and calls[0] is d
+        assert r.count == 1
+        # the records appear only when read
+        passes, relations = d.passes, built[0].relations
+        assert new_records() == {Pass: 2000, ClassicalRelation: 1000}
+        assert len(passes) == 2000 and len(relations) == 1000
+    finally:
+        gc.enable()
+
+
+def test_early_under_chain_equations(bq):
+    # every U before its O: each over arc is filled in when its O arrives
+    chain = _early_over_chain(random.Random(7), 300)
+    swap = {"O": "U", "U": "O"}
+    text = "longknot reversed\n" + " ".join(
+        f"{swap[p.kind.value]}{p.crossing_id}{p.sign}" for p in chain.passes)
+    d = parse_diagram(text)
+    assert set(classify(d).values()) == {diagram.CrossingClass.EARLY_UNDER}
+    for quandle_only in (False, True):
+        cs = build_constraints(d, bq, quandle_only=quandle_only)
+        assert list(cs.equations) == oracle.equations(
+            oracle.constraints(d, quandle_only=quandle_only)[0])
+
+
+def test_relations_are_a_view_of_the_equations(bq):
+    d = parse_diagram("longknot k\nu1+ V1 O2- o1+ V1 U2-\n")
+    cs = build_constraints(d, bq)
+    assert cs.relations == cs.relations
+    assert [(type(r), tuple(r)) for r in cs.relations] == [
+        (type(r), tuple(r)) for r in oracle.constraints(d)[0]]
+    assert {r.op for r in cs.relations
+            if isinstance(r, ClassicalRelation)} == {"circ", "star"}
+    classical = parse_diagram("longknot c\nU1+ O2- O1+ U2-\n")
+    cs = build_constraints(classical, bq, quandle_only=True)
+    assert cs.relations == cs.relations
+    assert [r.op for r in cs.relations] == ["circ", "circ"]
 
 
 def test_random_pairs_distinguish_quickly(group, bq):

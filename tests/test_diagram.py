@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -147,6 +149,31 @@ def test_arc_count_formula_random():
 def test_construction_validates():
     with pytest.raises(PairingError):
         LongDiagram(name="bad", passes=(Pass(PassKind.OVER, "1", "+"),))
+
+
+def test_long_diagram_semantics():
+    text = "longknot k\nO2+ V1 U2+ U1- V1 O1-\n"
+    parsed, lower = parse_diagram(text), parse_diagram(text.lower())
+    built = LongDiagram(name="k", passes=(
+        Pass(PassKind.OVER, "2", "+"), Pass(PassKind.VIRTUAL, "1", None),
+        Pass(PassKind.UNDER, "2", "+"), Pass(PassKind.UNDER, "1", "-"),
+        Pass(PassKind.VIRTUAL, "1", None), Pass(PassKind.OVER, "1", "-")))
+    for d in (parsed, lower, built):
+        assert d == built and hash(d) == hash(built)
+        assert repr(d) == repr(built)
+        assert all(type(p) is Pass for p in d.passes)
+        assert (d.arc_count, d.has_virtual()) == (5, True)
+        assert copy.copy(d) == pickle.loads(pickle.dumps(d)) == d
+        for attr in ("name", "passes"):
+            with pytest.raises(AttributeError):
+                setattr(d, attr, getattr(d, attr))
+    assert LongDiagram(name="k", passes=iter(built.passes)) == built
+    assert LongDiagram(name="k", passes=list(built.passes)) == built
+    assert parsed != parse_diagram(text.replace(" k", " other", 1))
+    assert parsed != parse_diagram("longknot k\n")
+    with pytest.raises(ValueError, match="sign None"):
+        LongDiagram(name="bad", passes=(Pass(PassKind.OVER, "1", None),
+                                        Pass(PassKind.UNDER, "1", None)))
 
 
 def _tokenize_by_loop(text):
